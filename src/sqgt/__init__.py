@@ -42,6 +42,7 @@ from .disjunct import (
 )
 from .errors import (
     BudgetExceeded,
+    CorruptCode,
     CorruptSequence,
     DecodingFailure,
     HeadroomError,

@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=int, required=True)
     p.add_argument("--e", type=int, default=0)
     p.add_argument("--budget", type=int, default=codebook.DEFAULT_SEPARABILITY_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_code_verify)
 
     p = sub.add_parser("syndrome")

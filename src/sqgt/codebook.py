@@ -11,6 +11,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -19,6 +20,7 @@ from .channel import syndrome
 from .disjunct import BinaryDisjunctCode
 from .errors import (
     BudgetExceeded,
+    CorruptCode,
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
@@ -29,6 +31,7 @@ from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
     check_sequence,
+    subset_sums,
     verified_sequence,
 )
 
@@ -36,6 +39,17 @@ STRICT = "strict"
 PERMISSIVE = "permissive"
 
 DEFAULT_SEPARABILITY_BUDGET = 10**8
+
+
+@dataclass(frozen=True)
+class DecoderPlan:
+    """What every decode of one code needs, derived once from the code."""
+
+    coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
+    block_of: dict[int, int]  # multiplier value -> block index
+    # quantized-bh only: subset sums ascending, and their subsets
+    sums: tuple[int, ...]
+    subsets: tuple[frozenset[int], ...]
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,21 @@ class SqgtCode:
     @property
     def base_n(self) -> int:
         return self.base.n
+
+    @cached_property
+    def plan(self) -> DecoderPlan:
+        """The decoders' per-code plan, built on first use."""
+        table = (
+            subset_sums(self.sequence, self.d)
+            if self.sequence.kind == QUANTIZED_BH
+            else []
+        )
+        return DecoderPlan(
+            coords=tuple(tuple(np.flatnonzero(col).tolist()) for col in self.base.matrix.T),
+            block_of={a: j for j, a in enumerate(self.sequence.values)},
+            sums=tuple(total for total, _ in table),
+            subsets=tuple(subset for _, subset in table),
+        )
 
     def column_block(self, col: int) -> tuple[int, int]:
         """Map a column index to (multiplier index j, base column i)."""
@@ -91,9 +120,10 @@ def build(
     """Concatenate the scaled copies of the base matrix into an SQGT code.
 
     Strict mode enforces the blanket model headroom eta_Q > d(q-1);
-    permissive mode only requires eta_Q to exceed the sum of the d
-    largest multipliers, leaving the runtime syndrome guard to catch
-    overlapping-support overflows.
+    permissive mode requires eta_Q to exceed the largest sum of any d
+    entries in one row of the concatenated matrix, the largest value a
+    syndrome of at most d defectives can take, so no such syndrome
+    overflows.
     """
     if mode not in (STRICT, PERMISSIVE):
         raise InvalidInput(f"unknown mode {mode!r}")
@@ -112,19 +142,22 @@ def build(
                 f"sequence not valid for these thresholds: {report.first_violation}"
             )
     q = seq.values[-1] + 1
+    matrix = np.hstack([a * base.matrix for a in seq.values])
     if mode == STRICT:
         if th.top <= d * (q - 1):
             raise HeadroomError(
                 f"strict headroom violated: eta_Q={th.top} <= d*(q-1)={d * (q - 1)}"
             )
     else:
-        top_d = sum(sorted(seq.values)[-d:])
-        if th.top <= top_d:
+        # Columns overlapping in a row may reuse one multiplier, so the d
+        # largest multipliers do not bound a row sum; its d largest entries do.
+        row_max = np.sort(matrix, axis=1)[:, -d:].sum(axis=1)
+        r = int(row_max.argmax())
+        if th.top <= row_max[r]:
             raise HeadroomError(
                 f"permissive headroom violated: eta_Q={th.top} <= "
-                f"sum of {d} largest multipliers = {top_d}"
+                f"sum of the {d} largest entries of row {r} = {int(row_max[r])}"
             )
-    matrix = np.hstack([a * base.matrix for a in seq.values])
     return SqgtCode(
         matrix=matrix,
         thresholds=th,
@@ -275,8 +308,14 @@ def save_code(code: SqgtCode, prefix: str) -> tuple[str, str]:
 
 
 def load_code(sidecar_path: str) -> SqgtCode:
-    """Reload a code from its sidecar; the base matrix is recovered by
-    dividing the first block by the smallest multiplier."""
+    """Reload a code from its sidecar.
+
+    The base matrix is recovered by dividing the first block by the
+    smallest multiplier, and the code is rebuilt from it and the sidecar;
+    the matrix file must equal the rebuilt matrix.  The claimed e must be
+    the base's, and at most (w-1)//2 for the smallest column weight w: a
+    necessary condition for correcting e errors, not a proof of it.
+    """
     with open(sidecar_path) as fh:
         sidecar = json.load(fh)
     matrix_path = os.path.join(os.path.dirname(sidecar_path), sidecar["matrix"])
@@ -286,18 +325,28 @@ def load_code(sidecar_path: str) -> SqgtCode:
     seq_info = sidecar["sequence"]
     seq = verified_sequence(seq_info["values"], th, seq_info["h"], seq_info["kind"])
     base_info = sidecar["base"]
-    n_b = base_info["n"]
+    n_b, e = base_info["n"], base_info["e"]
+    if not 0 < n_b <= matrix.shape[1]:
+        raise CorruptCode(f"{sidecar_path}: base width {n_b} outside the matrix")
     base_matrix = matrix[:, :n_b] // seq.values[0]
+    if base_matrix.max() > 1:  # entries are non-negative
+        raise CorruptCode(
+            f"{matrix_path}: first block is not a binary base scaled by {seq.values[0]}"
+        )
+    if sidecar["e"] != e:
+        raise CorruptCode(f"{sidecar_path}: code e={sidecar['e']} != base e={e}")
+    weight = int(base_matrix.sum(axis=0).min())
+    if e > (weight - 1) // 2:
+        raise CorruptCode(
+            f"{sidecar_path}: e={e} exceeds (w-1)//2={(weight - 1) // 2} for the "
+            f"smallest base column weight w={weight}"
+        )
     base = BinaryDisjunctCode(
-        base_matrix, d=base_info["d"], e=base_info["e"], provenance="user-supplied"
+        base_matrix, d=base_info["d"], e=e, provenance="user-supplied"
     )
-    return SqgtCode(
-        matrix=matrix,
-        thresholds=th,
-        sequence=seq,
-        base=base,
-        d=sidecar["d"],
-        e=sidecar["e"],
-        q=q,
-        mode=sidecar["mode"],
-    )
+    code = build(base, seq, th, sidecar["d"], sidecar["mode"])
+    if q != code.q or not np.array_equal(matrix, code.matrix):
+        raise CorruptCode(
+            f"{matrix_path}: matrix differs from the code its sidecar builds"
+        )
+    return code

@@ -3,23 +3,31 @@
 All three share the same support-recovery step: a base column survives
 iff its nonzero coordinates are contradicted by the result vector in at
 most e places.  They differ in how the multiplier subset per support is
-recovered: an ordered subset-sum table for quantized B_h codes, and a
-witness-coordinate majority plus a linear-time knapsack call for the
-SQLO families.
+recovered: an ordered subset-sum table for quantized B_h codes, and for
+the SQLO families the majority bin of 2e+1 witness coordinates, solved by
+one knapsack call over the whole bin, so a decode costs O(K) per support
+whatever the bin width.  Per-code state (column supports, the block map,
+the subset-sum table) comes from the code's shared plan, ``SqgtCode.plan``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import TestOutcome
 from .codebook import SqgtCode
-from .errors import DecodingFailure, InvalidBase, InvalidInput, UnsupportedKind
-from .quantization import bin_bounds
-from .sequences import QUANTIZED_BH, SQLO_L, SQLO_S, knapsack_solve, subset_sums
+from .errors import (
+    DecodingFailure,
+    InvalidBase,
+    InvalidBin,
+    InvalidInput,
+    UnsupportedKind,
+)
+from .sequences import QUANTIZED_BH, SQLO_L, SQLO_S, knapsack_solve
 
 
 @dataclass(frozen=True)
@@ -40,9 +48,9 @@ def recover_support(y, base_matrix: np.ndarray, e: int) -> list[int]:
     return [int(i) for i in np.nonzero(violations <= e)[0]]
 
 
-def select_witness_coords(y, support: list[int], e: int) -> list[int]:
-    """The 2e+1 support coordinates with the smallest result values,
-    ties broken by ascending coordinate index."""
+def select_witness_coords(y, support: Sequence[int], e: int) -> list[int]:
+    """The 2e+1 support coordinates with the smallest result values, in
+    ascending order of value, ties broken by ascending coordinate index."""
     need = 2 * e + 1
     if len(support) < need:
         raise InvalidBase(
@@ -52,8 +60,20 @@ def select_witness_coords(y, support: list[int], e: int) -> list[int]:
     return sorted(support, key=lambda j: (yv[j], j))[:need]
 
 
-def _y_values(y):
-    return y.y if isinstance(y, TestOutcome) else tuple(int(v) for v in y)
+def _y_values(y) -> tuple[int, ...]:
+    if isinstance(y, TestOutcome):
+        return y.y
+    if isinstance(y, tuple):
+        return y
+    return tuple(int(v) for v in y)
+
+
+def _result_values(y, code: SqgtCode) -> tuple[int, ...]:
+    """y as a tuple of bin indices, each checked to lie in [0, Q)."""
+    yv = _y_values(y)
+    if yv and (min(yv) < 0 or max(yv) >= code.thresholds.Q):
+        raise InvalidBin(f"result values must lie in [0, {code.thresholds.Q})")
+    return yv
 
 
 def _empty_result() -> DecodedResult:
@@ -63,8 +83,8 @@ def _empty_result() -> DecodedResult:
 
 
 def _columns_for(code: SqgtCode, base_col: int, multipliers) -> set[int]:
-    value_to_block = {a: j for j, a in enumerate(code.sequence.values)}
-    return {value_to_block[a] * code.base_n + base_col for a in multipliers}
+    block_of = code.plan.block_of
+    return {block_of[a] * code.base_n + base_col for a in multipliers}
 
 
 def dec_qbh(y, code: SqgtCode) -> DecodedResult:
@@ -73,30 +93,27 @@ def dec_qbh(y, code: SqgtCode) -> DecodedResult:
     observed bins."""
     if code.sequence.kind != QUANTIZED_BH:
         raise UnsupportedKind(f"code built from a {code.sequence.kind} sequence")
-    yv = _y_values(y)
+    yv = _result_values(y, code)
     supports = recover_support(yv, code.base.matrix, code.e)
     if not supports:
         return _empty_result()
-    table = subset_sums(code.sequence, code.d)
+    plan = code.plan
     eta = code.thresholds.eta
-    upper = [eta[v + 1] for v in yv]
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        coords = [j for j in range(code.m) if code.base.matrix[j, i]]
-        chosen = None
-        for total, subset in reversed(table):
-            # beta * x_i(j) < u(j) restricted to the support; zero
-            # coordinates satisfy it vacuously.
-            bad = sum(1 for j in coords if total >= upper[j])
-            if bad <= code.e:
-                chosen = (total, subset)
-                break
-        if chosen is None:
+        # beta * x_i(j) < u(j) must hold on all but e support coordinates
+        # (zero coordinates satisfy it vacuously), so beta stays below the
+        # (e+1)-th smallest upper threshold over the support.
+        upper = sorted(eta[yv[j] + 1] for j in plan.coords[i])
+        k = len(plan.sums)
+        if len(upper) > code.e:
+            k = bisect_left(plan.sums, upper[code.e])
+        if k == 0:
             raise DecodingFailure(
                 f"no subset sum consistent with support column {i}"
             )
-        multipliers = tuple(sorted(chosen[1]))
+        multipliers = tuple(sorted(plan.subsets[k - 1]))
         per_support.append((i, multipliers))
         defectives |= _columns_for(code, i, multipliers)
     return DecodedResult(frozenset(defectives), tuple(per_support))
@@ -107,34 +124,30 @@ def _dec_sqlo(y, code: SqgtCode, kind: str) -> DecodedResult:
         raise UnsupportedKind(
             f"code built from a {code.sequence.kind} sequence, expected {kind}"
         )
-    yv = _y_values(y)
+    yv = _result_values(y, code)
     supports = recover_support(yv, code.base.matrix, code.e)
     if not supports:
         return _empty_result()
-    th = code.thresholds
+    plan = code.plan
+    eta = code.thresholds.eta
+    e = code.e
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        coords = [j for j in range(code.m) if code.base.matrix[j, i]]
-        witnesses = select_witness_coords(yv, coords, code.e)
-        votes: Counter[int] = Counter()
-        for j in witnesses:
-            lo, hi = bin_bounds(th, yv[j])
-            # The quantized B_d property makes at most one integer per bin
-            # representable; scan order is immaterial.
-            for beta in range(max(lo, 1), hi):
-                if knapsack_solve(code.sequence, code.d, beta) is not None:
-                    votes[beta] += 1
-                    break
-        threshold = code.e + 1
-        winners = [b for b, c in votes.items() if c >= threshold]
-        if len(winners) != 1:
+        witnesses = select_witness_coords(yv, plan.coords[i], e)
+        # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
+        # is the middle one's.  The quantized B_d property puts at most one
+        # subset sum in it, found by one solver call; bin 0 holds none, as
+        # every element is at least eta_1.
+        r = yv[witnesses[e]]
+        subset = None
+        if r and sum(yv[j] == r for j in witnesses) > e:
+            subset = knapsack_solve(code.sequence, code.d, eta[r], eta[r + 1])
+        if subset is None:
             raise DecodingFailure(
-                f"support column {i}: {len(winners)} candidate sums reached "
-                f"{threshold} witness votes"
+                f"support column {i}: no candidate sum reached {e + 1} witness votes"
             )
-        beta_t = winners[0]
-        subset = knapsack_solve(code.sequence, code.d, beta_t)
+        subset = knapsack_solve(code.sequence, code.d, sum(subset))
         multipliers = tuple(sorted(subset))
         per_support.append((i, multipliers))
         defectives |= _columns_for(code, i, multipliers)

@@ -25,6 +25,10 @@ class CorruptSequence(SqgtError):
     """A sequence failed an invariant it was supposed to carry."""
 
 
+class CorruptCode(SqgtError):
+    """A saved code disagrees with the code its own description builds."""
+
+
 class UnsupportedKind(SqgtError):
     """Operation not defined for this sequence kind."""
 

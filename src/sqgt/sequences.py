@@ -514,16 +514,29 @@ def subset_sums(seq: MultiplierSequence, d: int) -> list[tuple[int, frozenset[in
 
 
 def knapsack_solve(
-    seq: MultiplierSequence, d: int, beta: int
+    seq: MultiplierSequence, d: int, lo: int, hi: int | None = None
 ) -> frozenset[int] | None:
-    """Recover the unique subset of <= d elements summing to beta, or None.
+    """Recover the unique subset of <= d elements whose sum lies in
+    [lo, hi), or None; hi defaults to lo + 1, an exact sum.
 
-    SQLO_s: greedy from the largest element (superincreasing property).
-    SQLO_l: cardinality from prefix sums, then a forward scan.
-    Both run in O(K) element comparisons.
+    The interval must lie inside one bin of thresholds the sequence is
+    valid for, and d <= seq.h: the bin ordering of each kind then admits at
+    most one such subset and lets both solvers decide every element against
+    the budget hi - 1 alone.
+    SQLO_s: greedy from the largest element, taking it while the running
+    total stays within the budget (a larger element outranks any set of
+    smaller ones).
+    SQLO_l: the cardinality is the largest s <= d whose s smallest elements
+    fit the budget, then a forward scan skips each element while the rest
+    can still be completed within it (lexicographic order).
+    Both run in O(K d) element comparisons, whatever the bin width.
     """
-    if beta < 1:
-        raise InvalidInput(f"beta must be >= 1, got {beta}")
+    if hi is None:
+        hi = lo + 1
+    if lo < 1:
+        raise InvalidInput(f"lower sum bound must be >= 1, got {lo}")
+    if hi <= lo:
+        raise InvalidInput(f"empty sum interval [{lo}, {hi})")
     if d < 1:
         raise InvalidInput(f"d must be >= 1, got {d}")
     if seq.kind == QUANTIZED_BH:
@@ -532,46 +545,41 @@ def knapsack_solve(
             "use the subset_sums table"
         )
     values = seq.values
-    if seq.kind == SQLO_S:
-        remaining = beta
-        chosen: list[int] = []
-        for a in reversed(values):
-            if remaining >= a:
-                remaining -= a
-                chosen.append(a)
-                if len(chosen) > d:
-                    return None
-                if remaining == 0:
-                    break
-        return frozenset(chosen) if remaining == 0 else None
-
-    # SQLO_l: prefix sums bound the subset cardinality from both sides.
-    prefix = []
+    budget = hi - 1
+    chosen: list[int] = []
     total = 0
-    for a in values:
+    if seq.kind == SQLO_S:
+        for a in reversed(values):
+            if total + a <= budget:
+                chosen.append(a)
+                total += a
+                if total >= lo or len(chosen) == d:
+                    break
+        return frozenset(chosen) if total >= lo else None
+
+    # SQLO_l: every s-subset outranks every smaller one, so the cardinality
+    # is the largest whose smallest subset fits the budget.
+    s = 0
+    for a in values[:d]:
+        if total + a > budget:
+            break
         total += a
-        prefix.append(total)
-    # s = largest cardinality whose smallest subset sum is <= beta
-    s = next((i for i, g in enumerate(prefix, start=1) if beta < g), None)
-    s = len(values) if s is None else s - 1
-    if s == 0 or s > d:
+        s += 1
+    if s == 0:
         return None
-    chosen = []
-    remaining = beta
+    total = 0
     need = s
-    K = len(values)
-    for i in range(K):
+    for i, a in enumerate(values):
         if need == 0:
             break
         tail = values[i + 1 : i + 1 + need]
-        # Fewer than `need` elements after i forces inclusion of values[i].
-        if len(tail) < need or remaining < sum(tail):
-            chosen.append(values[i])
-            remaining -= values[i]
+        # Fewer than `need` elements after i, or no completion of them
+        # within the budget, forces inclusion of values[i].
+        if len(tail) < need or total + sum(tail) > budget:
+            chosen.append(a)
+            total += a
             need -= 1
-    if need == 0 and remaining == 0:
-        return frozenset(chosen)
-    return None
+    return frozenset(chosen) if total >= lo else None
 
 
 def brute_force_subset_sum(values, d: int, beta: int) -> frozenset[int] | None:

@@ -12,6 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from sqgt import decoders
 from sqgt import (
     HeadroomError,
     QUANTIZED_BH,
@@ -27,6 +28,7 @@ from sqgt import (
     dec_qbh,
     dec_sqlo_l,
     dec_sqlo_s,
+    decode,
     feasibility_report,
     gamma_bound,
     greedy_generate,
@@ -34,6 +36,7 @@ from sqgt import (
     inject_exhaustive,
     knapsack_solve,
     recover_support,
+    replicated_identity,
     scaled_construction,
     simulate_campaign,
     strong_lex_base,
@@ -154,16 +157,57 @@ def test_criterion_06_knapsack_probes(acceptance_record):
             mismatches.append((SQLO_L, values, 2, beta))
         checked[SQLO_L] += 1
 
+    # Interval probes: sequences scaled past the largest gap of seeded
+    # non-unit thresholds, plus a common shift, kept when still valid; every
+    # bin is probed against the subsets whose sums fall in it.
+    bins_probed = {SQLO_S: 0, SQLO_L: 0}
+    sequences_probed = {SQLO_S: 0, SQLO_L: 0}
+    while min(sequences_probed.values()) < 100:
+        kind = SQLO_S if sequences_probed[SQLO_S] <= sequences_probed[SQLO_L] else SQLO_L
+        if kind == SQLO_S:
+            h = int(rng.integers(1, 4))
+            base = base_recursive_superincreasing(h, int(rng.integers(1, 8))).values
+        else:
+            h = 2
+            base = strong_lex_base(int(rng.integers(1, 8))).values
+        gap = int(rng.integers(1, 7))
+        shift = int(rng.integers(0, gap))
+        values = [gap * b + shift for b in base]
+        widths = [int(w) for w in rng.integers(1, gap + 1, size=sum(values) + 1)]
+        eta = [0]
+        for w in widths:
+            eta.append(eta[-1] + w)
+            if eta[-1] > sum(values):
+                break
+        th = Thresholds(tuple(eta))
+        if not check_sequence(values, th, h, kind).passed:
+            continue
+        seq = verified_sequence(values, th, h, kind)
+        d = int(rng.integers(1, h + 1))
+        sums = [(sum(s), frozenset(s)) for r in range(1, d + 1)
+                for s in combinations(values, r)]
+        for lo, hi in zip(th.eta, th.eta[1:]):
+            inside = [s for total, s in sums if lo <= total < hi]
+            expected = inside[0] if len(inside) == 1 else None
+            got = knapsack_solve(seq, d, max(lo, 1), hi) if max(lo, 1) < hi else None
+            if len(inside) > 1 or got != expected:
+                mismatches.append((kind, values, th.eta, d, lo, hi))
+            bins_probed[kind] += 1
+        sequences_probed[kind] += 1
+
     elapsed = time.perf_counter() - start
     ok = (
         not mismatches
         and all(c >= 100 for c in checked.values())
+        and all(c >= 100 for c in sequences_probed.values())
         and elapsed < 60
     )
     acceptance_record(
         "6 knapsack solver equivalence",
         ok,
-        f"probes={dict(checked)} mismatches={len(mismatches)} in {elapsed:.1f}s",
+        f"probes={dict(checked)} bin probes={dict(bins_probed)} over "
+        f"{dict(sequences_probed)} sequences mismatches={len(mismatches)} "
+        f"in {elapsed:.1f}s",
     )
 
 
@@ -217,7 +261,7 @@ def test_criterion_08_gamma_bound(acceptance_record):
     )
 
 
-def test_criterion_09_complexity_scaling(acceptance_record):
+def test_criterion_09_complexity_scaling(acceptance_record, monkeypatch):
     start = time.perf_counter()
     Ks = [4, 8, 12, 16]
     slopes = {}
@@ -236,6 +280,39 @@ def test_criterion_09_complexity_scaling(acceptance_record):
         slope = float(np.polyfit(np.log(Ks), np.log(means), 1)[0])
         slopes[kind] = slope
 
+    # Wide bins: one-error decodes on uniform thresholds of width `gap`
+    # with the sequence scaled by it make the same knapsack calls at every
+    # gap, since each witness costs one call over its whole bin.
+    gaps = (1, 16, 256, 4096)
+    wide_calls = {}
+    wide_wrong = 0
+    real_solve = decoders.knapsack_solve
+
+    def counting_solve(*args):
+        wide_calls[key] += 1
+        return real_solve(*args)
+
+    monkeypatch.setattr(decoders, "knapsack_solve", counting_solve)
+    rep = replicated_identity(2, 3)
+    for kind, base in ((SQLO_S, base_recursive_superincreasing(2, 8)),
+                       (SQLO_L, strong_lex_base(8))):
+        Q = max(sum(base.values[-3:]), 2 * base.values[-1]) + 1
+        for gap in gaps:
+            th = uniform_thresholds(gap, Q)
+            seq = scaled_construction(base, th, 2, Q)
+            code = build(rep, seq, th, 2, "strict")
+            key = (kind, gap)
+            wide_calls[key] = 0
+            for D in ([0, code.n - 2], [code.n - 1]):
+                clean = syndrome(code, D)
+                for outcome in inject_exhaustive(clean, 1, Q):
+                    wide_wrong += decode(outcome, code).defectives != frozenset(D)
+    monkeypatch.undo()
+    wide_ok = wide_wrong == 0 and all(
+        wide_calls[kind, gap] <= wide_calls[kind, 1]
+        for kind in (SQLO_S, SQLO_L) for gap in gaps
+    )
+
     table_ok = True
     for K in Ks:
         values = base_recursive_superincreasing(2, K).values
@@ -245,12 +322,19 @@ def test_criterion_09_complexity_scaling(acceptance_record):
         table_ok &= len(subset_sums(seq, 2)) == expected
 
     elapsed = time.perf_counter() - start
-    ok = all(s <= 1.5 for s in slopes.values()) and table_ok and elapsed < 300
+    ok = (
+        all(s <= 1.5 for s in slopes.values()) and wide_ok and table_ok
+        and elapsed < 300
+    )
+    calls = {
+        kind: [wide_calls[kind, gap] for gap in gaps] for kind in (SQLO_S, SQLO_L)
+    }
     acceptance_record(
         "9 decoder complexity scaling",
         ok,
         f"log-log slopes={ {k: round(v, 2) for k, v in slopes.items()} }, "
-        f"table sizes exact, {elapsed:.1f}s",
+        f"one-error knapsack calls at gaps {list(gaps)}={calls}, "
+        f"wrong decodes={wide_wrong}, table sizes exact, {elapsed:.1f}s",
     )
 
 

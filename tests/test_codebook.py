@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from sqgt import (
     BinaryDisjunctCode,
     BudgetExceeded,
+    CorruptCode,
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
@@ -17,6 +19,7 @@ from sqgt import (
     build,
     feasibility_report,
     identity_code,
+    kautz_singleton,
     load_code,
     pair_sequence,
     save_code,
@@ -82,6 +85,14 @@ def test_build_permissive_d3(th_step3):
     seq = verified_sequence([3, 6, 12], th_step3, 3, QUANTIZED_BH)
     code = build(identity_code(4), seq, th_step3, 3, "permissive")
     assert (code.d, code.q) == (3, 13)
+
+
+def test_build_permissive_bounds_overlapping_columns(th_gaps):
+    # Two Kautz-Singleton columns of block 11 share a row: 11 + 11 = 22 >= 21,
+    # although the two largest multipliers sum to 16.
+    seq = verified_sequence([2, 5, 11], th_gaps, 3, SQLO_S)
+    with pytest.raises(HeadroomError, match="22"):
+        build(kautz_singleton(3, 2), seq, th_gaps, 2, "permissive")
 
 
 def test_build_parameter_errors(th_step3_tall):
@@ -168,3 +179,39 @@ def test_save_load_round_trip(code_corpus, tmp_path):
     assert (loaded.d, loaded.e, loaded.q, loaded.mode) == (
         code.d, code.e, code.q, code.mode,
     )
+
+
+def _saved_identity_code(tmp_path, values):
+    th = uniform_thresholds(3, 15)
+    seq = verified_sequence(values, th, 2, QUANTIZED_BH)
+    code = build(identity_code(4), seq, th, 2, "strict")
+    matrix_path, sidecar = save_code(code, str(tmp_path / "code"))
+    return code, matrix_path, sidecar
+
+
+def test_load_rejects_edited_later_block(tmp_path):
+    code, matrix_path, sidecar = _saved_identity_code(tmp_path, [3, 6, 12])
+    matrix = code.matrix.copy()
+    assert matrix[0, 5] == 0  # row 0, base column 1 of multiplier block 1
+    matrix[0, 5] = 6
+    with open(matrix_path, "w") as fh:
+        fh.write(matrix_to_text(matrix, code.q))
+    with pytest.raises(CorruptCode):
+        load_code(sidecar)
+
+
+def test_load_rejects_false_error_claim(tmp_path):
+    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
+    with open(sidecar) as fh:
+        data = json.load(fh)
+    data["e"] = 1
+    with open(sidecar, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(CorruptCode):
+        load_code(sidecar)
+    # claiming it for the base as well fails the column-weight test
+    data["base"]["e"] = 1
+    with open(sidecar, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(CorruptCode, match="weight"):
+        load_code(sidecar)

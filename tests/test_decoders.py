@@ -6,6 +6,7 @@ import pytest
 from sqgt import (
     DecodingFailure,
     InvalidBase,
+    InvalidBin,
     InvalidInput,
     UnsupportedKind,
     dec_qbh,
@@ -81,6 +82,14 @@ def test_empty_support_warns(code_corpus):
     result = decode((0, 0), code)
     assert result.defectives == frozenset()
     assert result.warning is not None
+
+
+def test_result_values_outside_the_bins_are_rejected(code_corpus):
+    for name in ("qbh-i2-d2", "sqs-i2-d2", "sql-i2-d2"):
+        code = _entry(code_corpus, name)
+        for y in ((0, code.thresholds.Q), (-1, 1)):
+            with pytest.raises(InvalidBin):
+                decode(y, code)
 
 
 def test_oracle_rejects_garbage(code_corpus):

@@ -292,6 +292,7 @@ def test_knapsack_sqlo_l_worked_example():
     assert knapsack_solve(seq, 2, 4) == frozenset({4})
     assert knapsack_solve(seq, 2, 12) is None  # would need all three
     assert knapsack_solve(seq, 2, 1) is None
+    assert knapsack_solve(seq, 2, 8, 9) == frozenset({3, 5})  # the exact call
 
 
 def test_knapsack_sqlo_s_worked_example(th_gaps):
@@ -300,8 +301,14 @@ def test_knapsack_sqlo_s_worked_example(th_gaps):
     assert knapsack_solve(seq, 2, 18) is None  # cardinality cap
     assert knapsack_solve(seq, 2, 13) == frozenset({2, 11})
     assert knapsack_solve(seq, 2, 4) is None
+    # bin [16, 18) holds 5 + 11; bin [6, 10) holds 2 + 5 only with d >= 2
+    assert knapsack_solve(seq, 2, 16, 18) == frozenset({5, 11})
+    assert knapsack_solve(seq, 2, 6, 10) == frozenset({2, 5})
+    assert knapsack_solve(seq, 1, 6, 10) is None
     with pytest.raises(InvalidInput):
         knapsack_solve(seq, 2, 0)
+    with pytest.raises(InvalidInput):
+        knapsack_solve(seq, 2, 5, 5)
 
 
 @given(st.integers(2, 6), st.integers(0, 3), st.data())
