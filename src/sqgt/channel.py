@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -98,11 +98,14 @@ def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutc
 def inject_random(
     outcome: TestOutcome, e: int, Q: int, seed: int, count: int
 ) -> Iterator[TestOutcome]:
-    """Deterministic seeded sampling of <= e-error patterns."""
+    """Deterministic seeded sampling of <= e-error patterns; at most m
+    coordinates can change."""
+    if e < 0:
+        raise InvalidInput(f"e must be >= 0, got {e}")
     rng = np.random.default_rng(seed)
     m = len(outcome.y)
     for _ in range(count):
-        t = int(rng.integers(0, e + 1))
+        t = int(rng.integers(0, min(e, m) + 1))
         coords = tuple(sorted(rng.choice(m, size=t, replace=False))) if t else ()
         y = list(outcome.y)
         for k in coords:

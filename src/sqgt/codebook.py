@@ -16,7 +16,6 @@ from itertools import combinations
 
 import numpy as np
 
-from .channel import syndrome
 from .disjunct import BinaryDisjunctCode
 from .errors import (
     BudgetExceeded,
@@ -24,6 +23,7 @@ from .errors import (
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
+    OutOfRange,
     ParameterError,
 )
 from .quantization import Thresholds
@@ -170,14 +170,23 @@ def build(
     )
 
 
-def _enumerate_syndromes(code: SqgtCode, l: int, u: int):
-    sets = []
+def _enumerate_syndromes(code: SqgtCode, l: int, u: int) -> np.ndarray:
+    """Result vectors of every column set of l..u columns, one row each in
+    combinations order; OutOfRange names the first set that overflows."""
+    columns = code.matrix.T
+    eta = np.asarray(code.thresholds.eta)
+    top = code.thresholds.top
+    blocks = []
     for size in range(l, u + 1):
-        sets.extend(combinations(range(code.n), size))
-    rows = np.empty((len(sets), code.m), dtype=np.int64)
-    for i, subset in enumerate(sets):
-        rows[i] = syndrome(code, subset).y
-    return sets, rows
+        sets = np.array(list(combinations(range(code.n), size)), dtype=np.intp)
+        sums = columns[sets].sum(axis=1)
+        over = sums.max(axis=1) >= top
+        if over.any():
+            row = sums[int(over.argmax())]
+            k = int(row.argmax())
+            raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {top}")
+        blocks.append(np.searchsorted(eta, sums, side="right") - 1)
+    return np.concatenate(blocks)
 
 
 def verify_sq_separable(
@@ -187,26 +196,36 @@ def verify_sq_separable(
     e: int,
     budget: int = DEFAULT_SEPARABILITY_BUDGET,
 ) -> bool:
-    """Exhaustive check: syndromes of any two distinct column sets with
-    sizes in [l, u] differ in >= 2e+1 coordinates."""
+    """Exhaustive check: result vectors of any two distinct column sets
+    with sizes in [l, u] differ in >= 2e+1 coordinates."""
     if not 1 <= l <= u <= code.n:
         raise InvalidInput(f"need 1 <= l <= u <= n, got l={l}, u={u}")
+    if e < 0:
+        raise InvalidInput(f"e must be >= 0, got {e}")
     num_sets = sum(math.comb(code.n, s) for s in range(l, u + 1))
     if num_sets * num_sets * code.m > budget:
         raise BudgetExceeded(
             f"{num_sets} sets -> ~{num_sets**2 * code.m} coordinate comparisons "
             f"exceed budget {budget}"
         )
-    _, rows = _enumerate_syndromes(code, l, u)
+    rows = _enumerate_syndromes(code, l, u)
+    if e == 0:
+        return len(np.unique(rows, axis=0)) == len(rows)
     need = 2 * e + 1
-    chunk = max(1, 10**6 // max(1, rows.shape[0] * code.m))
-    for start in range(0, rows.shape[0], chunk):
-        block = rows[start : start + chunk]
-        # pairwise Hamming distances between this block and all later rows
-        diffs = (block[:, None, :] != rows[None, start:, :]).sum(axis=2)
-        for bi in range(block.shape[0]):
-            diffs[bi, bi] = need  # self-comparison
-        if int(diffs.min()) < need:
+    # Distances of each block of rows to all later rows, added up one
+    # coordinate at a time in the narrowest integer types that hold them.
+    cols = rows.T.astype(np.min_scalar_type(code.thresholds.Q - 1), order="C")
+    count = np.min_scalar_type(max(code.m, need))
+    total = len(rows)
+    chunk = max(1, 2**18 // total)
+    for start in range(0, total, chunk):
+        stop = min(total, start + chunk)
+        dist = np.zeros((stop - start, total - start), dtype=count)
+        for col in cols:
+            dist += col[start:stop, None] != col[None, start:]
+        own = np.arange(stop - start)
+        dist[own, own] = need  # self-comparison
+        if int(dist.min()) < need:
             return False
     return True
 
@@ -260,7 +279,7 @@ def feasibility_report(
 def matrix_to_text(matrix: np.ndarray, q: int) -> str:
     m, n = matrix.shape
     lines = [f"{m} {n} {q}"]
-    lines.extend(" ".join(str(int(v)) for v in row) for row in matrix)
+    lines.extend(" ".join(map(str, row)) for row in matrix.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -302,8 +321,7 @@ def save_code(code: SqgtCode, prefix: str) -> tuple[str, str]:
         "mode": code.mode,
     }
     with open(sidecar_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
     return matrix_path, sidecar_path
 
 
@@ -316,16 +334,23 @@ def load_code(sidecar_path: str) -> SqgtCode:
     the base's, and at most (w-1)//2 for the smallest column weight w: a
     necessary condition for correcting e errors, not a proof of it.
     """
-    with open(sidecar_path) as fh:
-        sidecar = json.load(fh)
-    matrix_path = os.path.join(os.path.dirname(sidecar_path), sidecar["matrix"])
+    try:
+        with open(sidecar_path) as fh:
+            sidecar = json.load(fh)
+        seq_info, base_info = sidecar["sequence"], sidecar["base"]
+        values, h, kind = seq_info["values"], seq_info["h"], seq_info["kind"]
+        n_b, base_d, e = base_info["n"], base_info["d"], base_info["e"]
+        matrix_name, eta = sidecar["matrix"], sidecar["thresholds"]
+        d, code_e, mode = sidecar["d"], sidecar["e"], sidecar["mode"]
+    except ValueError as exc:
+        raise CorruptCode(f"{sidecar_path}: not valid JSON: {exc}") from exc
+    except (KeyError, TypeError) as exc:
+        raise CorruptCode(f"{sidecar_path}: missing or misplaced key {exc}") from exc
+    matrix_path = os.path.join(os.path.dirname(sidecar_path), matrix_name)
     with open(matrix_path) as fh:
         matrix, q = matrix_from_text(fh.read())
-    th = Thresholds(tuple(sidecar["thresholds"]))
-    seq_info = sidecar["sequence"]
-    seq = verified_sequence(seq_info["values"], th, seq_info["h"], seq_info["kind"])
-    base_info = sidecar["base"]
-    n_b, e = base_info["n"], base_info["e"]
+    th = Thresholds(tuple(eta))
+    seq = verified_sequence(values, th, h, kind)
     if not 0 < n_b <= matrix.shape[1]:
         raise CorruptCode(f"{sidecar_path}: base width {n_b} outside the matrix")
     base_matrix = matrix[:, :n_b] // seq.values[0]
@@ -333,18 +358,16 @@ def load_code(sidecar_path: str) -> SqgtCode:
         raise CorruptCode(
             f"{matrix_path}: first block is not a binary base scaled by {seq.values[0]}"
         )
-    if sidecar["e"] != e:
-        raise CorruptCode(f"{sidecar_path}: code e={sidecar['e']} != base e={e}")
+    if code_e != e:
+        raise CorruptCode(f"{sidecar_path}: code e={code_e} != base e={e}")
     weight = int(base_matrix.sum(axis=0).min())
     if e > (weight - 1) // 2:
         raise CorruptCode(
             f"{sidecar_path}: e={e} exceeds (w-1)//2={(weight - 1) // 2} for the "
             f"smallest base column weight w={weight}"
         )
-    base = BinaryDisjunctCode(
-        base_matrix, d=base_info["d"], e=e, provenance="user-supplied"
-    )
-    code = build(base, seq, th, sidecar["d"], sidecar["mode"])
+    base = BinaryDisjunctCode(base_matrix, d=base_d, e=e, provenance="user-supplied")
+    code = build(base, seq, th, d, mode)
     if q != code.q or not np.array_equal(matrix, code.matrix):
         raise CorruptCode(
             f"{matrix_path}: matrix differs from the code its sidecar builds"

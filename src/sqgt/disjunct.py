@@ -8,6 +8,7 @@ Kautz-Singleton from Reed-Solomon codes) or brute-force verified
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -47,7 +48,7 @@ def verify_disjunct(
     n = matrix.shape[1]
     if not 1 <= d < n:
         raise InvalidInput(f"need 1 <= d < n, got d={d}, n={n}")
-    checks = n * _ncombs(n - 1, d)
+    checks = n * math.comb(n - 1, d)
     if checks > budget:
         warnings.warn(
             f"verify_disjunct will perform ~{checks} subset checks "
@@ -65,12 +66,6 @@ def verify_disjunct(
             if int((cols[z] & ~covered).sum()) < need:
                 return False
     return True
-
-
-def _ncombs(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def identity_code(n: int, e: int = 0) -> BinaryDisjunctCode:

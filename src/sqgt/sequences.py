@@ -12,14 +12,17 @@ small subsets must be ordered:
 * SQLO_l          -- subset sums are bin-ordered first by cardinality,
                      then lexicographically by sorted elements.
 
-All checkers are exhaustive over subset pairs and serve as the
-correctness anchor for every construction in the package.
+Each checker computes the bin of every subset sum once.  The SQLO orders
+are total orders on subsets, so their checkers sort the subsets once and
+compare neighbours; quantized B_h needs only distinct bins.  The checkers
+are the correctness anchor for every construction in the package.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -129,13 +132,6 @@ def _cardinality_feasible(K: int, h: int, Q: int) -> str | None:
     return None
 
 
-def _bin_of_sum(th, subset):
-    total = sum(subset)
-    if total >= th.top:
-        return None
-    return quantize(th, total)
-
-
 def _check_element_bins(seq, th) -> str | None:
     """Property 1 of every family: distinct, increasing, nonzero bins."""
     prev = 0
@@ -157,9 +153,9 @@ def _check_quantized_bh(seq, th, h) -> str | None:
         return violation
     seen: dict[int, tuple] = {}
     for subset in _subsets_up_to(seq, h):
-        b = _bin_of_sum(th, subset)
-        if b is None:
+        if sum(subset) >= th.top:
             return f"subset sum {_fmt(subset)} = {sum(subset)} >= top threshold"
+        b = quantize(th, sum(subset))
         if b in seen:
             return (
                 f"subsets {_fmt(seen[b])} and {_fmt(subset)} share quantization bin {b}"
@@ -168,38 +164,44 @@ def _check_quantized_bh(seq, th, h) -> str | None:
     return None
 
 
-def _check_sqlo_s_direct(seq, th, h) -> str | None:
-    """Literal check of the defining nested/non-nested orderings."""
+def _check_sqlo(seq, th, h, kind) -> str | None:
+    """The defining order of an SQLO kind, in one sorted pass.
+
+    Each kind's order is a total order on the subsets of <= h elements, so
+    bins rise along it iff they rise between neighbours in it.  SQLO_l
+    ranks by cardinality, then lexicographically, the order combinations()
+    emits; SQLO_s ranks by the largest element of the symmetric difference
+    (a superset outranks its subsets), as binary numbers over the element
+    positions.
+    """
     violation = _check_element_bins(seq, th)
     if violation:
         return violation
     subsets = _subsets_up_to(seq, h)
-    bins = {}
     for subset in subsets:
-        b = _bin_of_sum(th, subset)
-        if b is None:
+        if sum(subset) >= th.top:
             return f"subset sum {_fmt(subset)} = {sum(subset)} >= top threshold"
-        bins[subset] = b
-    for s1, s2 in combinations(subsets, 2):
-        set1, set2 = set(s1), set(s2)
-        if set1 < set2:
-            if bins[s2] <= bins[s1]:
-                return f"nested subsets: f({_fmt(s2)}) <= f({_fmt(s1)})"
-        elif set2 < set1:
-            if bins[s1] <= bins[s2]:
-                return f"nested subsets: f({_fmt(s1)}) <= f({_fmt(s2)})"
-        else:
-            # Non-nested: ordered by the largest element of the symmetric
-            # difference (all elements occupy distinct bins).
-            if max(set2 - set1) > max(set1 - set2):
-                hi, lo = s2, s1
-            else:
-                hi, lo = s1, s2
-            if bins[hi] <= bins[lo]:
-                return (
-                    f"non-nested subsets: f({_fmt(hi)}) <= f({_fmt(lo)}) despite "
-                    "larger top element"
-                )
+    if kind == SQLO_S:
+        weight = {a: 1 << i for i, a in enumerate(seq)}
+        subsets.sort(key=lambda subset: sum(weight[a] for a in subset))
+    bins = [bisect_right(th.eta, sum(subset)) - 1 for subset in subsets]
+    for i in range(1, len(subsets)):
+        if bins[i] > bins[i - 1]:
+            continue
+        lo, hi = subsets[i - 1], subsets[i]
+        if kind == SQLO_S:
+            if set(lo) < set(hi):
+                return f"nested subsets: f({_fmt(hi)}) <= f({_fmt(lo)})"
+            return (
+                f"non-nested subsets: f({_fmt(hi)}) <= f({_fmt(lo)}) despite "
+                "larger top element"
+            )
+        if len(hi) != len(lo):
+            return (
+                f"cardinality ordering: f({_fmt(hi)}) <= f({_fmt(lo)}) "
+                f"with |{_fmt(hi)}| > |{_fmt(lo)}|"
+            )
+        return f"lexicographic ordering: f({_fmt(hi)}) <= f({_fmt(lo)})"
     return None
 
 
@@ -211,10 +213,9 @@ def _check_sqlo_s_via_bh(seq, th, h) -> str | None:
     for i in range(len(seq)):
         bin_i = quantize(th, seq[i])
         for subset in _subsets_up_to(seq[:i], h):
-            b = _bin_of_sum(th, subset)
-            if b is None:
+            if sum(subset) >= th.top:
                 return f"prefix sum {_fmt(subset)} >= top threshold"
-            if bin_i <= b:
+            if bin_i <= quantize(th, sum(subset)):
                 return (
                     f"element {seq[i]} does not dominate prefix subset "
                     f"{_fmt(subset)} at the bin level"
@@ -222,43 +223,14 @@ def _check_sqlo_s_via_bh(seq, th, h) -> str | None:
     return None
 
 
-def _check_sqlo_l(seq, th, h) -> str | None:
-    violation = _check_element_bins(seq, th)
-    if violation:
-        return violation
-    subsets = _subsets_up_to(seq, h)
-    bins = {}
-    for subset in subsets:
-        b = _bin_of_sum(th, subset)
-        if b is None:
-            return f"subset sum {_fmt(subset)} = {sum(subset)} >= top threshold"
-        bins[subset] = b
-    for s1, s2 in combinations(subsets, 2):
-        if len(s1) != len(s2):
-            lo, hi = (s1, s2) if len(s1) < len(s2) else (s2, s1)
-            if bins[hi] <= bins[lo]:
-                return (
-                    f"cardinality ordering: f({_fmt(hi)}) <= f({_fmt(lo)}) "
-                    f"with |{_fmt(hi)}| > |{_fmt(lo)}|"
-                )
-        else:
-            # combinations() emits sorted tuples; compare at the first
-            # differing position.
-            r = next(i for i in range(len(s1)) if s1[i] != s2[i])
-            hi, lo = (s2, s1) if s2[r] > s1[r] else (s1, s2)
-            if bins[hi] <= bins[lo]:
-                return (
-                    f"lexicographic ordering: f({_fmt(hi)}) <= f({_fmt(lo)})"
-                )
-    return None
-
-
 def check_sequence(seq, th: Thresholds, h: int, kind: str) -> CheckReport:
-    """Exhaustively verify the defining property of the given kind.
+    """Verify the defining property of the given kind over every subset of
+    at most h elements.
 
-    For SQLO_s both the direct definitional route and the equivalent
-    "quantized B_h + superincreasing in bins" route are evaluated; a
-    disagreement would indicate a checker bug and raises.
+    The SQLO kinds are checked in one sorted pass over the subsets (their
+    orders are total); SQLO_s takes the direct definitional route only, and
+    the equivalent "quantized B_h + superincreasing in bins" route is kept
+    as a reference for the tests.
     """
     seq = tuple(int(v) for v in seq)
     if not seq:
@@ -283,16 +255,8 @@ def check_sequence(seq, th: Thresholds, h: int, kind: str) -> CheckReport:
 
     if kind == QUANTIZED_BH:
         violation = _check_quantized_bh(seq, th, h)
-    elif kind == SQLO_S:
-        violation = _check_sqlo_s_direct(seq, th, h)
-        other = _check_sqlo_s_via_bh(seq, th, h)
-        if (violation is None) != (other is None):
-            raise AssertionError(
-                f"SQLO_s check routes disagree on {seq}: "
-                f"direct={violation!r} via-bh={other!r}"
-            )
     else:
-        violation = _check_sqlo_l(seq, th, h)
+        violation = _check_sqlo(seq, th, h, kind)
     return CheckReport(violation is None, violation)
 
 
@@ -310,8 +274,14 @@ def greedy_generate(
     th: Thresholds, h: int, K_target: int, kind: str
 ) -> MultiplierSequence:
     """Greedy search: start at eta_1, extend with the smallest integer that
-    keeps the prefix valid, stop at K_target elements or at the top
-    threshold."""
+    keeps the prefix valid, stop at K_target elements or when no integer
+    below the top threshold extends it.
+
+    Candidates that must fail are skipped.  Every kind puts the new element
+    in a higher bin than the last one; SQLO_s also above the bin of the sum
+    of the h largest elements, which it must outrank; SQLO_l with h >= 2
+    below the bin of a_1 + a_2, which outranks every single element.
+    """
     if K_target < 1:
         raise InvalidInput(f"K_target must be >= 1, got {K_target}")
     first = th.eta[1]
@@ -319,14 +289,19 @@ def greedy_generate(
         raise InfeasibleThresholds(
             f"even the single-element sequence [{first}] fails the {kind} check"
         )
+    eta = th.eta
     prefix = [first]
     while len(prefix) < K_target:
-        candidate = prefix[-1] + 1
-        while candidate < th.top:
+        # prefix sums of <= h elements lie below the top, so both bins exist
+        floor = sum(prefix[-h:]) if kind == SQLO_S else prefix[-1]
+        start = eta[bisect_right(eta, floor)]
+        stop = th.top
+        if kind == SQLO_L and h >= 2 and len(prefix) >= 2:
+            stop = eta[bisect_right(eta, prefix[0] + prefix[1]) - 1]
+        for candidate in range(start, stop):
             if check_sequence(prefix + [candidate], th, h, kind).passed:
                 prefix.append(candidate)
                 break
-            candidate += 1
         else:
             break
     return verified_sequence(prefix, th, h, kind)

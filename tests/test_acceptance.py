@@ -49,7 +49,7 @@ from sqgt import (
     verify_sq_separable,
 )
 from sqgt.cli import _bench_code
-from sqgt.sequences import _check_sqlo_s_direct, _check_sqlo_s_via_bh
+from sqgt.sequences import _check_sqlo, _check_sqlo_s_via_bh
 
 
 def test_criterion_01_scaled_construction_bins(acceptance_record, th_step3):
@@ -225,7 +225,7 @@ def test_criterion_07_route_agreement(acceptance_record):
             eta.append(eta[-1] + int(g))
         th = Thresholds(tuple(eta))
         h = int(rng.integers(1, 4))
-        direct = _check_sqlo_s_direct(values, th, h)
+        direct = _check_sqlo(values, th, h, SQLO_S)
         two_cond = _check_sqlo_s_via_bh(values, th, h)
         if (direct is None) != (two_cond is None):
             disagreements.append((values, eta, h))

@@ -102,6 +102,20 @@ def test_inject_random_deterministic():
     assert all(sum(x != y for x, y in zip(clean.y, o)) <= 1 for o in a)
 
 
+def test_inject_random_bounds_the_error_count():
+    clean = TestOutcome((3, 0, 1))
+    with pytest.raises(InvalidInput):
+        next(inject_random(clean, -1, Q=8, seed=5, count=1))
+    # e above m changes at most every coordinate
+    drawn = list(inject_random(clean, 5, Q=8, seed=5, count=50))
+    assert len(drawn) == 50
+    assert all(len(o.error_positions) <= 3 for o in drawn)
+    assert any(len(o.error_positions) == 3 for o in drawn)
+    # e = m draws what it always drew
+    again = list(inject_random(clean, 3, Q=8, seed=5, count=50))
+    assert [o.y for o in again] == [o.y for o in drawn]
+
+
 def test_outcome_json():
     hit = TestOutcome((3, 5, 1), (1,), clean=False)
     assert '"errors": [[1, 5]]' in hit.to_json()

@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sqgt import (
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
+    OutOfRange,
     ParameterError,
     QUANTIZED_BH,
     SQLO_S,
@@ -22,7 +24,10 @@ from sqgt import (
     kautz_singleton,
     load_code,
     pair_sequence,
+    replicated_identity,
     save_code,
+    syndrome,
+    unit_thresholds,
     uniform_thresholds,
     verified_sequence,
     verify_sq_separable,
@@ -136,6 +141,43 @@ def test_verify_sq_separable_budget(code_corpus):
         verify_sq_separable(code, 1, 2, 0, budget=10)
     with pytest.raises(InvalidInput):
         verify_sq_separable(code, 0, 2, 0)
+    with pytest.raises(InvalidInput):
+        verify_sq_separable(code, 1, 2, -1)
+
+
+def _min_distance_by_syndrome(code, l, u):
+    """Smallest distance between result vectors of distinct sets of l..u
+    columns, one syndrome() call per set; the OutOfRange message if a set
+    overflows."""
+    try:
+        rows = np.array([
+            syndrome(code, s).y
+            for size in range(l, u + 1)
+            for s in combinations(range(code.n), size)
+        ])
+    except OutOfRange as exc:
+        return str(exc)
+    dist = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    np.fill_diagonal(dist, code.m + 1)
+    return int(dist.min())
+
+
+@pytest.mark.parametrize("name", [
+    "qbh-ks3-d2", "qbh-rep4-d2-e1", "sqs-i3-d1", "sqs-rep3-d2-e1-perm",
+    "sqs-ks3-tall-d2", "sql-i4-d2", "sql-rep3-d2-e1", "sql-ks3-d2",
+])
+def test_verify_sq_separable_matches_syndrome_loop(code_corpus, name):
+    code = _entry(code_corpus, name)
+    for l, u in ((1, code.d), (1, code.d + 1), (2, code.d + 1)):
+        u = min(u, code.n)
+        expected = _min_distance_by_syndrome(code, l, u)
+        for e in (0, 1, 2):
+            if isinstance(expected, str):
+                with pytest.raises(OutOfRange) as info:
+                    verify_sq_separable(code, l, u, e)
+                assert str(info.value) == expected
+            else:
+                assert verify_sq_separable(code, l, u, e) == (expected >= 2 * e + 1)
 
 
 def test_feasibility_report_counting_bound():
@@ -214,4 +256,37 @@ def test_load_rejects_false_error_claim(tmp_path):
     with open(sidecar, "w") as fh:
         json.dump(data, fh)
     with pytest.raises(CorruptCode, match="weight"):
+        load_code(sidecar)
+
+
+def test_verify_sq_separable_bins_above_255():
+    # columns 1*c and 257*c of one base column differ by 256 in every row
+    # they touch: distinct result vectors whose bins agree modulo 256
+    th = unit_thresholds(600)
+    seq = verified_sequence([1, 257], th, 2, SQLO_S)
+    code = build(replicated_identity(3, 3), seq, th, 2, "strict")
+    for u in (1, 2):
+        expected = _min_distance_by_syndrome(code, 1, u)
+        assert expected >= 3
+        assert verify_sq_separable(code, 1, u, 1)
+        assert verify_sq_separable(code, 1, u, 2) == (expected >= 5)
+
+
+def test_load_rejects_sidecar_that_is_not_json(tmp_path):
+    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
+    with open(sidecar, "w") as fh:
+        fh.write("{not json")
+    with pytest.raises(CorruptCode, match="not valid JSON"):
+        load_code(sidecar)
+
+
+@pytest.mark.parametrize("key", ["d", "base", "matrix", "thresholds"])
+def test_load_rejects_sidecar_without_a_key(tmp_path, key):
+    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
+    with open(sidecar) as fh:
+        data = json.load(fh)
+    del data[key]
+    with open(sidecar, "w") as fh:
+        json.dump(data, fh)
+    with pytest.raises(CorruptCode, match=key):
         load_code(sidecar)

@@ -1,7 +1,10 @@
 import math
+import random
+from bisect import bisect_right
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sqgt import (
     H_SUPERINCREASING,
@@ -32,7 +35,55 @@ from sqgt import (
     uniform_thresholds,
     verified_sequence,
 )
-from sqgt.sequences import _check_sqlo_s_direct, _check_sqlo_s_via_bh
+from sqgt import sequences
+from sqgt.sequences import KINDS, _check_sqlo, _check_sqlo_s_via_bh
+
+
+# --- the pairwise definitions, the oracle for check_sequence ---
+
+
+def _outranks(kind, s1, s2):
+    """Whether the kind's definition puts the bin of s1 above that of s2;
+    None when it only asks the two bins to differ (quantized B_h)."""
+    if kind == QUANTIZED_BH:
+        return None
+    if kind == SQLO_S:
+        # nested: the superset; non-nested: the owner of the largest
+        # element of the symmetric difference
+        return max(set(s1) ^ set(s2)) in s1
+    if len(s1) != len(s2):
+        return len(s1) > len(s2)
+    r = next(i for i in range(len(s1)) if s1[i] != s2[i])
+    return s1[r] > s2[r]
+
+
+def pairwise_oracle(values, eta, h, kind) -> bool:
+    """The kind's definition, tested on every pair of subsets of <= h
+    elements: all sums below the top, the smallest element out of bin 0."""
+    subsets = [s for r in range(1, min(h, len(values)) + 1)
+               for s in combinations(values, r)]
+    if any(sum(s) >= eta[-1] for s in subsets):
+        return False
+    bins = {s: bisect_right(eta, sum(s)) - 1 for s in subsets}
+    if bins[(values[0],)] < 1:
+        return False
+    for s1, s2 in combinations(subsets, 2):
+        above = _outranks(kind, s1, s2)
+        if above is None:
+            if bins[s1] == bins[s2]:
+                return False
+        else:
+            hi, lo = (s1, s2) if above else (s2, s1)
+            if bins[hi] <= bins[lo]:
+                return False
+    return True
+
+
+def _thresholds(gaps):
+    eta = [0]
+    for g in gaps:
+        eta.append(eta[-1] + g)
+    return Thresholds(tuple(eta))
 
 
 # --- checkers on worked examples ---
@@ -131,12 +182,102 @@ def test_sqlo_s_routes_agree(values, gaps, h):
         eta.append(eta[-1] + g)
     th = Thresholds(tuple(eta))
     seq = tuple(sorted(values))
-    direct = _check_sqlo_s_direct(seq, th, h)
+    direct = _check_sqlo(seq, th, h, SQLO_S)
     via_bh = _check_sqlo_s_via_bh(seq, th, h)
     assert (direct is None) == (via_bh is None), (seq, eta, h, direct, via_bh)
 
 
+# --- check_sequence against the pairwise oracle ---
+
+
+@given(
+    st.lists(st.integers(1, 6), min_size=2, max_size=14),
+    st.lists(st.integers(1, 30), min_size=1, max_size=6, unique=True),
+    st.integers(1, 3),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=400, deadline=None)
+def test_check_sequence_matches_pairwise_oracle(gaps, values, h, kind):
+    th = _thresholds(gaps)
+    values = tuple(sorted(values))
+    got = check_sequence(values, th, h, kind).passed
+    assert got == pairwise_oracle(values, th.eta, h, kind), (values, th.eta, h, kind)
+
+
+def test_check_sequence_matches_pairwise_oracle_near_greedy_sequences():
+    """Greedy sequences and their last element moved by up to 3 sit on the
+    boundary between passing and failing."""
+    rng = random.Random(4)
+    passed = failed = 0
+    for _ in range(150):
+        th = _thresholds([rng.randint(1, 5) for _ in range(rng.randint(8, 40))])
+        h, kind = rng.randint(1, 3), rng.choice(KINDS)
+        try:
+            base = greedy_generate(th, h, rng.randint(2, 6), kind).values
+        except InfeasibleThresholds:
+            continue
+        for shift in range(-3, 4):
+            values = base[:-1] + (base[-1] + shift,)
+            if len(values) > 1 and values[-1] <= values[-2] or values[-1] < 1:
+                continue
+            got = check_sequence(values, th, h, kind).passed
+            assert got == pairwise_oracle(values, th.eta, h, kind), (values, th.eta, h, kind)
+            passed += got
+            failed += not got
+    assert passed > 100 and failed > 100
+
+
 # --- greedy generation ---
+
+
+def _plain_greedy(th, h, K, kind):
+    """Smallest-integer scan over check_sequence, skipping nothing."""
+    values = [th.eta[1]]
+    while len(values) < K:
+        nxt = next(
+            (c for c in range(values[-1] + 1, th.top)
+             if check_sequence(values + [c], th, h, kind).passed),
+            None,
+        )
+        if nxt is None:
+            break
+        values.append(nxt)
+    return tuple(values)
+
+
+@given(
+    st.lists(st.integers(1, 5), min_size=2, max_size=30),
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.sampled_from(KINDS),
+)
+@example([5, 5, 2, 2, 2, 1, 3, 2, 4, 5], 2, 4, SQLO_L)  # (5, 10, 12): 12 sits
+# in the bin just below that of 5 + 10
+@settings(max_examples=200, deadline=None)
+def test_greedy_matches_plain_scan(gaps, h, K, kind):
+    th = _thresholds(gaps)
+    if not check_sequence([th.eta[1]], th, h, kind).passed:
+        with pytest.raises(InfeasibleThresholds):
+            greedy_generate(th, h, K, kind)
+        return
+    assert greedy_generate(th, h, K, kind).values == _plain_greedy(th, h, K, kind)
+
+
+def test_greedy_sqlo_l_stops_below_the_smallest_pair(monkeypatch):
+    # At unit thresholds no third element fits below 1 + 2; a scan of every
+    # candidate up to the top made about 10^5 checks.
+    calls = []
+    real = sequences.check_sequence
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sequences, "check_sequence", counting)
+    seq = greedy_generate(unit_thresholds(10**5), 2, 5, SQLO_L)
+    assert seq.values == (1, 2)
+    assert len(calls) == 3  # [1], [1, 2], and the final verification
+
 
 
 def test_greedy_reproduces_worked_example(th_gaps):
