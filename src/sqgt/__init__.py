@@ -14,6 +14,7 @@ from .codebook import (
     STRICT,
     SqgtCode,
     build,
+    code_from_config,
     feasibility_report,
     load_code,
     pair_sequence,
@@ -58,9 +59,7 @@ from .errors import (
 from .quantization import (
     Thresholds,
     bin_bounds,
-    bin_greater,
     quantize,
-    quantize_vector,
     uniform_thresholds,
     unit_thresholds,
 )

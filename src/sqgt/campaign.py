@@ -10,7 +10,7 @@ from itertools import combinations
 from .channel import inject_exhaustive, inject_random, syndrome
 from .codebook import SqgtCode
 from .decoders import decode
-from .errors import DecodingFailure
+from .errors import DecodingFailure, InvalidInput
 
 EXHAUSTIVE = "exhaustive"
 SEEDED_RANDOM = "seeded-random"
@@ -52,9 +52,7 @@ def _defective_sets(code: SqgtCode, d_max: int):
 def _outcomes(clean, e: int, Q: int, policy: str, seed: int, samples: int):
     if policy == EXHAUSTIVE:
         return inject_exhaustive(clean, e, Q)
-    if policy == SEEDED_RANDOM:
-        return inject_random(clean, e, Q, seed, samples)
-    raise ValueError(f"unknown error policy {policy!r}")
+    return inject_random(clean, e, Q, seed, samples)
 
 
 def _run_chunk(
@@ -104,6 +102,8 @@ def simulate_campaign(
     """Enumerate all defective sets with 1 <= |D| <= d, run the kind-matched
     decoder on every error pattern per policy, and report exact-recovery
     counts.  Under contract (e_inject <= code.e) failures must be 0."""
+    if policy not in (EXHAUSTIVE, SEEDED_RANDOM):
+        raise InvalidInput(f"unknown error policy {policy!r}")
     if e_inject is None:
         e_inject = code.e
     start = time.perf_counter()

@@ -53,12 +53,6 @@ def support_signature(vectors: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
     return {tuple(1 if v else 0 for v in vec) for vec in vectors}
 
 
-def code_support_signature(code, defectives: Iterable[int]) -> set[int]:
-    """Base-column indices underlying the given code columns."""
-    n_b = code.base_n
-    return {int(i) % n_b for i in defectives}
-
-
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
     """Apply an explicit list of (coordinate, new value) changes."""
     y = list(outcome.y)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: seq gen|check, base gen|verify, code build|verify,
-syndrome, inject, decode, simulate, report, bench.  All output goes to
+syndrome, inject, decode, simulate, report.  All output goes to
 stdout; --json switches to machine-readable JSON.  Exit codes: 0 ok,
 1 domain error, 2 usage error, 3 decoding failure.
 """
@@ -9,23 +9,13 @@ stdout; --json switches to machine-readable JSON.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
-import time
 
-from . import campaign, codebook, decoders, disjunct, sequences
+from . import campaign, codebook, decoders, sequences
 from .channel import TestOutcome, inject_exhaustive, inject_explicit, syndrome
 from .errors import DecodingFailure, InvalidInput, SqgtError
-from .quantization import Thresholds, unit_thresholds
-
-
-def _load_thresholds(spec: str) -> Thresholds:
-    if spec.strip().startswith("["):
-        return Thresholds.from_json(spec)
-    with open(spec) as fh:
-        return Thresholds.from_json(fh.read())
+from .quantization import load_thresholds
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -42,58 +32,26 @@ def _emit(payload: dict, as_json: bool, human: str) -> None:
         print(human)
 
 
-def _make_base(spec: str, d: int | None, e: int | None) -> disjunct.BinaryDisjunctCode:
-    """Base spec grammar: identity:N | ks:Q,K | replicated:N,COPIES |
-    random:M,N,DENSITY,SEED | file:PATH (file needs --base-d/--base-e)."""
-    kind, _, rest = spec.partition(":")
-    if kind == "identity":
-        return disjunct.identity_code(int(rest))
-    if kind == "ks":
-        q, k = (int(v) for v in rest.split(","))
-        return disjunct.kautz_singleton(q, k, d=d)
-    if kind == "replicated":
-        n, copies = (int(v) for v in rest.split(","))
-        return disjunct.replicated_identity(n, copies)
-    if kind == "random":
-        parts = rest.split(",")
-        m, n = int(parts[0]), int(parts[1])
-        density = float(parts[2]) if len(parts) > 2 else None
-        seed = int(parts[3]) if len(parts) > 3 else 0
-        if d is None:
-            raise InvalidInput("random base needs --base-d")
-        return disjunct.random_code(m, n, d, e or 0, density=density, seed=seed)
-    if kind == "file":
-        with open(rest) as fh:
-            matrix, _ = codebook.matrix_from_text(fh.read())
-        if d is None or e is None:
-            raise InvalidInput("file base needs --base-d and --base-e")
-        return disjunct.user_code(matrix, d, e)
-    raise InvalidInput(f"unknown base spec {spec!r}")
-
-
-def _resolve_sequence(args, th: Thresholds) -> sequences.MultiplierSequence:
-    if getattr(args, "sequence", None):
-        with open(args.sequence) as fh:
-            return sequences.MultiplierSequence.from_json(fh.read())
-    if getattr(args, "values", None):
-        return sequences.verified_sequence(
-            _parse_ints(args.values), th, args.h, args.kind
-        )
-    return sequences.greedy_generate(th, args.h, args.K, args.kind)
+def _read_json(path: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
 
 
 # --- subcommand handlers ---
 
 
 def cmd_seq_gen(args) -> int:
-    th = _load_thresholds(args.thresholds)
+    th = load_thresholds(args.thresholds)
     seq = sequences.greedy_generate(th, args.h, args.K, args.kind)
     _emit(json.loads(seq.to_json()), args.json, " ".join(str(v) for v in seq.values))
     return 0
 
 
 def cmd_seq_check(args) -> int:
-    th = _load_thresholds(args.thresholds)
+    th = load_thresholds(args.thresholds)
     report = sequences.check_sequence(_parse_ints(args.values), th, args.h, args.kind)
     payload = {"pass": report.passed, "first_violation": report.first_violation}
     _emit(
@@ -123,23 +81,22 @@ def cmd_base_verify(args) -> int:
 
 
 def cmd_code_build(args) -> int:
-    th = _load_thresholds(args.thresholds)
-    base = _make_base(args.base, args.base_d, args.base_e)
-    seq = _resolve_sequence(args, th)
-    code = codebook.build(base, seq, th, args.d, mode=args.mode)
-    matrix_path, sidecar_path = codebook.save_code(code, args.out)
-    payload = {
-        "matrix": matrix_path,
-        "sidecar": sidecar_path,
-        "m": code.m,
-        "n": code.n,
-        "q": code.q,
-    }
-    _emit(
-        payload,
-        args.json,
-        f"wrote {matrix_path} and {sidecar_path} ({code.m}x{code.n}, q={code.q})",
-    )
+    if args.sequence:
+        sequence = _read_json(args.sequence)
+    elif args.values:
+        sequence = {"kind": args.kind, "h": args.h, "values": _parse_ints(args.values)}
+    else:
+        sequence = {"kind": args.kind, "h": args.h, "K": args.K}
+    code = codebook.code_from_config({
+        "thresholds": args.thresholds,
+        "base": {"spec": args.base, "d": args.base_d, "e": args.base_e},
+        "sequence": sequence,
+        "d": args.d,
+        "mode": args.mode,
+    })
+    path = codebook.save_code(code, args.out)
+    payload = {"code": path, "m": code.m, "n": code.n, "q": code.q}
+    _emit(payload, args.json, f"wrote {path} ({code.m}x{code.n}, q={code.q})")
     return 0
 
 
@@ -193,24 +150,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    th = (
-        Thresholds(tuple(cfg["thresholds"]))
-        if isinstance(cfg["thresholds"], list)
-        else _load_thresholds(cfg["thresholds"])
-    )
-    base_cfg = cfg["base"]
-    base = _make_base(base_cfg["spec"], base_cfg.get("d"), base_cfg.get("e"))
-    seq_cfg = cfg["sequence"]
-    if "values" in seq_cfg:
-        seq = sequences.verified_sequence(
-            seq_cfg["values"], th, seq_cfg["h"], seq_cfg["kind"]
-        )
-    else:
-        seq = sequences.greedy_generate(th, seq_cfg["h"], seq_cfg["K"], seq_cfg["kind"])
-    code = codebook.build(base, seq, th, cfg["d"], mode=cfg.get("mode", "strict"))
+    cfg = _read_json(args.config)
+    code = codebook.code_from_config(cfg)
     err = cfg.get("errors", {})
+    if not isinstance(err, dict):
+        raise InvalidInput("key 'errors' must be an object")
     summary = campaign.simulate_campaign(
         code,
         e_inject=err.get("e"),
@@ -231,53 +175,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    th = _load_thresholds(args.thresholds) if args.thresholds else None
+    th = load_thresholds(args.thresholds) if args.thresholds else None
     report = codebook.feasibility_report(
         n=args.n, d=args.d, Q=args.Q, K=args.K, h=args.h, q=args.q, th=th
     )
     print(json.dumps(report, sort_keys=True))
-    return 0
-
-
-def _bench_code(K: int, kind: str, d: int):
-    """Fixed-size base, growing sequence; unit thresholds keep every
-    kind check cheap."""
-    if kind == sequences.SQLO_S:
-        values = sequences.base_recursive_superincreasing(d, K).values
-    else:
-        if d != 2:
-            raise InvalidInput("bench SQLO_l sequences are generated for d=2 only")
-        values = sequences.strong_lex_base(K).values
-    top = sum(sorted(values)[-d:]) + 1
-    th = unit_thresholds(top)
-    seq = sequences.verified_sequence(values, th, d, kind)
-    base = disjunct.identity_code(2)
-    return codebook.build(base, seq, th, d, mode=codebook.PERMISSIVE)
-
-
-def cmd_bench(args) -> int:
-    Ks = [int(v) for v in args.Ks.split(",")]
-    rows = []
-    for K in Ks:
-        for kind in (sequences.SQLO_S, sequences.SQLO_L):
-            code = _bench_code(K, kind, args.d)
-            D = [0, code.n - 2]  # two defectives sharing base column 0
-            y = syndrome(code, D[: args.d])
-            start = time.perf_counter()
-            for _ in range(args.reps):
-                decoders.decode(y, code)
-            elapsed = (time.perf_counter() - start) / args.reps
-            rows.append({"K": K, "decoder": kind, "mean_seconds": elapsed})
-        table = sum(math.comb(K, i) for i in range(1, args.d + 1))
-        rows.append({"K": K, "decoder": "quantized-bh-table-size", "mean_seconds": table})
-    writer = csv.DictWriter(sys.stdout, fieldnames=["K", "decoder", "mean_seconds"])
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["K", "decoder", "mean_seconds"])
-            writer.writeheader()
-            writer.writerows(rows)
     return 0
 
 
@@ -317,10 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
     code = sub.add_parser("code").add_subparsers(dest="action", required=True)
     p = code.add_parser("build")
     p.add_argument("--thresholds", required=True)
-    p.add_argument("--base", required=True, help="identity:N | ks:Q,K | replicated:N,C | random:M,N[,DENSITY[,SEED]] | file:PATH")
+    p.add_argument("--base", required=True, help=codebook.BASE_SPECS)
     p.add_argument("--base-d", type=int)
     p.add_argument("--base-e", type=int)
-    p.add_argument("--sequence", help="sequence JSON file")
+    p.add_argument("--sequence", help="sequence JSON file: {kind, h, values} or {kind, h, K}")
     p.add_argument("--values", help="explicit multiplier values")
     p.add_argument("--kind", choices=sequences.KINDS, default=sequences.QUANTIZED_BH)
     p.add_argument("--h", type=int, default=2)
@@ -369,13 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--thresholds")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("bench")
-    p.add_argument("--Ks", default="4,8,12,16")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--reps", type=int, default=20)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -387,7 +282,7 @@ def main(argv=None) -> int:
     except DecodingFailure as exc:
         print(f"decoding failure: {exc}", file=sys.stderr)
         return 3
-    except SqgtError as exc:
+    except (SqgtError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,14 +9,20 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
-from .disjunct import BinaryDisjunctCode
+from .disjunct import (
+    BinaryDisjunctCode,
+    identity_code,
+    kautz_singleton,
+    random_code,
+    replicated_identity,
+    user_code,
+)
 from .errors import (
     BudgetExceeded,
     CorruptCode,
@@ -25,12 +31,14 @@ from .errors import (
     InvalidInput,
     OutOfRange,
     ParameterError,
+    SqgtError,
 )
-from .quantization import Thresholds
+from .quantization import Thresholds, load_thresholds
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
     check_sequence,
+    greedy_generate,
     subset_sums,
     verified_sequence,
 )
@@ -273,14 +281,7 @@ def feasibility_report(
     return report
 
 
-# --- shared matrix text format: "m n q" header, then m rows over [q] ---
-
-
-def matrix_to_text(matrix: np.ndarray, q: int) -> str:
-    m, n = matrix.shape
-    lines = [f"{m} {n} {q}"]
-    lines.extend(" ".join(map(str, row)) for row in matrix.tolist())
-    return "\n".join(lines) + "\n"
+# --- matrix text format of file: bases: "m n q" header, then m rows over [q] ---
 
 
 def matrix_from_text(text: str) -> tuple[np.ndarray, int]:
@@ -293,7 +294,10 @@ def matrix_from_text(text: str) -> tuple[np.ndarray, int]:
         raise InvalidInput(f"bad matrix header {lines[0]!r}") from exc
     if len(lines) != m + 1:
         raise InvalidInput(f"expected {m} rows, found {len(lines) - 1}")
-    matrix = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=int)
+    try:
+        matrix = np.array([[int(v) for v in ln.split()] for ln in lines[1:]], dtype=int)
+    except ValueError as exc:
+        raise InvalidInput(f"matrix rows are not {n} integers each") from exc
     if matrix.shape != (m, n):
         raise InvalidInput("row lengths disagree with header")
     if matrix.min() < 0 or matrix.max() >= q:
@@ -301,75 +305,132 @@ def matrix_from_text(text: str) -> tuple[np.ndarray, int]:
     return matrix, q
 
 
-def save_code(code: SqgtCode, prefix: str) -> tuple[str, str]:
-    """Write PREFIX.txt (matrix) and PREFIX.json (sidecar)."""
-    matrix_path = prefix + ".txt"
-    sidecar_path = prefix + ".json"
-    with open(matrix_path, "w") as fh:
-        fh.write(matrix_to_text(code.matrix, code.q))
-    sidecar = {
-        "matrix": os.path.basename(matrix_path),
+# --- code descriptions: the one path from a description to build() ---
+
+_REQUIRED = object()
+BASE_SPECS = (
+    "identity:N | ks:Q,K | replicated:N,COPIES | random:M,N[,DENSITY[,SEED]] | file:PATH"
+)
+
+
+def _field(block: dict, key: str, types: tuple, prefix: str = "", default=_REQUIRED):
+    """block[key], which must be of one of `types` (a bool is no int)."""
+    value = block.get(key, default)
+    if value is _REQUIRED:
+        raise InvalidInput(f"missing key {prefix + key!r}")
+    if value is not default and (not isinstance(value, types) or isinstance(value, bool)):
+        names = " or ".join(t.__name__ for t in types)
+        raise InvalidInput(
+            f"key {prefix + key!r} must be {names}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _base_from_spec(spec: str, d: int | None, e: int | None) -> BinaryDisjunctCode:
+    """A base named by one of BASE_SPECS; random needs d, file needs d and e."""
+    kind, _, rest = spec.partition(":")
+    if kind == "file":
+        if d is None or e is None:
+            raise InvalidInput("a file: base needs base.d and base.e")
+        with open(rest) as fh:
+            return user_code(matrix_from_text(fh.read())[0], d, e)
+    try:
+        nums = [float(v) if i == 2 else int(v) for i, v in enumerate(rest.split(","))]
+        if min(nums) < 0:
+            raise ValueError
+    except ValueError:
+        nums = []  # no branch below takes it
+    if kind == "identity" and len(nums) == 1:
+        return identity_code(*nums)
+    if kind == "ks" and len(nums) == 2:
+        return kautz_singleton(*nums, d=d)
+    if kind == "replicated" and len(nums) == 2:
+        return replicated_identity(*nums)
+    if kind == "random" and 2 <= len(nums) <= 4:
+        if d is None:
+            raise InvalidInput("a random base needs base.d")
+        return random_code(*nums[:2], d, e or 0, *nums[2:])
+    raise InvalidInput(f"key 'base.spec': {spec!r} is not {BASE_SPECS}")
+
+
+def _base_from_config(block: dict) -> BinaryDisjunctCode:
+    """A base from its spec, or an inline one.  An inline base must be
+    binary, and its e at most (w-1)//2 for its smallest column weight w:
+    necessary for correcting e errors, not a proof of it."""
+    inline = "matrix" in block
+    required = _REQUIRED if inline else None
+    d, e = (_field(block, key, (int,), "base.", required) for key in ("d", "e"))
+    if not inline:
+        return _base_from_spec(_field(block, "spec", (str,), "base."), d, e)
+    try:
+        matrix = np.array(_field(block, "matrix", (list,), "base."))
+    except ValueError:  # rows of unequal length
+        matrix = np.array(())
+    if matrix.ndim != 2 or 0 in matrix.shape or matrix.dtype.kind != "i" or (
+        not np.isin(matrix, (0, 1)).all()
+    ):
+        raise InvalidInput("key 'base.matrix' must be a non-empty binary matrix")
+    weight = int(matrix.sum(axis=0).min())
+    if not 0 <= e <= (weight - 1) // 2:
+        raise InvalidInput(
+            f"base e={e} is negative or exceeds (w-1)//2={(weight - 1) // 2} for "
+            f"the smallest base column weight w={weight}"
+        )
+    return BinaryDisjunctCode(matrix, d=d, e=e, provenance="user-supplied")
+
+
+def code_from_config(cfg: dict) -> SqgtCode:
+    """Build the code a description names: "thresholds" (a list, or a string
+    load_thresholds reads), "base" ({"spec", "d"?, "e"?} or {"matrix", "d", "e"}),
+    "sequence" ({"kind", "h", "values"}, or "K" in place of "values" for a
+    greedy one), "d" and "mode" (default strict); other keys are ignored.
+    A missing key, a wrong type or a malformed spec raises InvalidInput
+    naming the key."""
+    if not isinstance(cfg, dict):
+        raise InvalidInput(f"a code description is an object, got {type(cfg).__name__}")
+    eta = _field(cfg, "thresholds", (list, str))
+    th = load_thresholds(eta) if isinstance(eta, str) else Thresholds(tuple(eta))
+    base = _base_from_config(_field(cfg, "base", (dict,)))
+    seq_cfg = _field(cfg, "sequence", (dict,))
+    kind = _field(seq_cfg, "kind", (str,), "sequence.")
+    h = _field(seq_cfg, "h", (int,), "sequence.")
+    if "values" in seq_cfg:
+        values = _field(seq_cfg, "values", (list,), "sequence.")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in values):
+            raise InvalidInput("key 'sequence.values' must be a list of integers")
+        seq = verified_sequence(values, th, h, kind)
+    else:
+        seq = greedy_generate(th, h, _field(seq_cfg, "K", (int,), "sequence."), kind)
+    d = _field(cfg, "d", (int,))
+    return build(base, seq, th, d, _field(cfg, "mode", (str,), default=STRICT))
+
+
+def save_code(code: SqgtCode, prefix: str) -> str:
+    """Write PREFIX.json, the description code_from_config builds the code
+    from, with the base matrix inline; it is also a `simulate` config."""
+    path, base, seq = prefix + ".json", code.base, code.sequence
+    description = {
         "thresholds": list(code.thresholds.eta),
-        "sequence": {
-            "kind": code.sequence.kind,
-            "h": code.sequence.h,
-            "values": list(code.sequence.values),
-        },
+        "base": {"d": base.d, "e": base.e, "matrix": base.matrix.tolist()},
+        "sequence": {"kind": seq.kind, "h": seq.h, "values": list(seq.values)},
         "d": code.d,
-        "e": code.e,
-        "base": {"m": code.base.m, "n": code.base.n, "d": code.base.d, "e": code.base.e},
         "mode": code.mode,
     }
-    with open(sidecar_path, "w") as fh:
-        fh.write(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
-    return matrix_path, sidecar_path
+    lines = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in description.items())
+    with open(path, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    return path
 
 
-def load_code(sidecar_path: str) -> SqgtCode:
-    """Reload a code from its sidecar.
-
-    The base matrix is recovered by dividing the first block by the
-    smallest multiplier, and the code is rebuilt from it and the sidecar;
-    the matrix file must equal the rebuilt matrix.  The claimed e must be
-    the base's, and at most (w-1)//2 for the smallest column weight w: a
-    necessary condition for correcting e errors, not a proof of it.
-    """
+def load_code(path: str) -> SqgtCode:
+    """Rebuild a code from the file save_code wrote (see code_from_config);
+    CorruptCode names the file and what is wrong with it."""
     try:
-        with open(sidecar_path) as fh:
-            sidecar = json.load(fh)
-        seq_info, base_info = sidecar["sequence"], sidecar["base"]
-        values, h, kind = seq_info["values"], seq_info["h"], seq_info["kind"]
-        n_b, base_d, e = base_info["n"], base_info["d"], base_info["e"]
-        matrix_name, eta = sidecar["matrix"], sidecar["thresholds"]
-        d, code_e, mode = sidecar["d"], sidecar["e"], sidecar["mode"]
+        with open(path) as fh:
+            description = json.load(fh)
     except ValueError as exc:
-        raise CorruptCode(f"{sidecar_path}: not valid JSON: {exc}") from exc
-    except (KeyError, TypeError) as exc:
-        raise CorruptCode(f"{sidecar_path}: missing or misplaced key {exc}") from exc
-    matrix_path = os.path.join(os.path.dirname(sidecar_path), matrix_name)
-    with open(matrix_path) as fh:
-        matrix, q = matrix_from_text(fh.read())
-    th = Thresholds(tuple(eta))
-    seq = verified_sequence(values, th, h, kind)
-    if not 0 < n_b <= matrix.shape[1]:
-        raise CorruptCode(f"{sidecar_path}: base width {n_b} outside the matrix")
-    base_matrix = matrix[:, :n_b] // seq.values[0]
-    if base_matrix.max() > 1:  # entries are non-negative
-        raise CorruptCode(
-            f"{matrix_path}: first block is not a binary base scaled by {seq.values[0]}"
-        )
-    if code_e != e:
-        raise CorruptCode(f"{sidecar_path}: code e={code_e} != base e={e}")
-    weight = int(base_matrix.sum(axis=0).min())
-    if e > (weight - 1) // 2:
-        raise CorruptCode(
-            f"{sidecar_path}: e={e} exceeds (w-1)//2={(weight - 1) // 2} for the "
-            f"smallest base column weight w={weight}"
-        )
-    base = BinaryDisjunctCode(base_matrix, d=base_d, e=e, provenance="user-supplied")
-    code = build(base, seq, th, d, mode)
-    if q != code.q or not np.array_equal(matrix, code.matrix):
-        raise CorruptCode(
-            f"{matrix_path}: matrix differs from the code its sidecar builds"
-        )
-    return code
+        raise CorruptCode(f"{path}: not valid JSON: {exc}") from exc
+    try:
+        return code_from_config(description)
+    except SqgtError as exc:
+        raise CorruptCode(f"{path}: {exc}") from exc

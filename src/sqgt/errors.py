@@ -26,7 +26,8 @@ class CorruptSequence(SqgtError):
 
 
 class CorruptCode(SqgtError):
-    """A saved code disagrees with the code its own description builds."""
+    """A saved code file does not describe a code: it is not JSON, lacks a
+    key, holds one of the wrong type, or names a code that cannot be built."""
 
 
 class UnsupportedKind(SqgtError):

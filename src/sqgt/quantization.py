@@ -9,9 +9,9 @@ this mapping.
 from __future__ import annotations
 
 import json
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import InvalidBin, InvalidInput, OutOfRange
 
@@ -23,7 +23,11 @@ class Thresholds:
     eta: tuple[int, ...]
 
     def __post_init__(self):
-        eta = tuple(int(v) for v in self.eta)
+        eta = tuple(self.eta)
+        bad = [v for v in eta if not hasattr(type(v), "__index__")]
+        if bad:
+            raise InvalidInput(f"threshold {bad[0]!r} is not an integer")
+        eta = tuple(map(operator.index, eta))
         object.__setattr__(self, "eta", eta)
         if len(eta) < 2:
             raise InvalidInput("need at least two thresholds (Q >= 1)")
@@ -63,6 +67,14 @@ class Thresholds:
         return cls(tuple(data))
 
 
+def load_thresholds(spec: str) -> Thresholds:
+    """Thresholds from a JSON list, or from the path of a file holding one."""
+    if spec.strip().startswith("["):
+        return Thresholds.from_json(spec)
+    with open(spec) as fh:
+        return Thresholds.from_json(fh.read())
+
+
 def quantize(th: Thresholds, alpha: int) -> int:
     """Index of the bin containing alpha: eta[r] <= alpha < eta[r+1]."""
     if alpha < 0:
@@ -73,22 +85,6 @@ def quantize(th: Thresholds, alpha: int) -> int:
             "the model requires all sums to stay below it"
         )
     return bisect_right(th.eta, alpha) - 1
-
-
-def quantize_vector(th: Thresholds, values: Iterable[int]) -> tuple[int, ...]:
-    """Element-wise quantize; reports the offending coordinate on error."""
-    out = []
-    for i, v in enumerate(values):
-        try:
-            out.append(quantize(th, v))
-        except OutOfRange as exc:
-            raise OutOfRange(f"coordinate {i}: {exc}") from exc
-    return tuple(out)
-
-
-def bin_greater(th: Thresholds, a: int, b: int) -> bool:
-    """True iff a lands in a strictly higher bin than b."""
-    return quantize(th, a) > quantize(th, b)
 
 
 def bin_bounds(th: Thresholds, r: int) -> tuple[int, int]:

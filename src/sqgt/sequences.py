@@ -86,16 +86,6 @@ class MultiplierSequence:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "MultiplierSequence":
-        data = json.loads(text)
-        return verified_sequence(
-            data["values"],
-            Thresholds(tuple(data["thresholds"])),
-            data["h"],
-            data["kind"],
-        )
-
 
 @dataclass(frozen=True)
 class BaseSequence:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from sqgt import (
@@ -95,6 +97,29 @@ def _corpus():
 @pytest.fixture(scope="session")
 def code_corpus():
     return _corpus()
+
+
+_DELETE = object()
+
+
+@pytest.fixture
+def edit_json():
+    """Rewrite a JSON file with data[k1]...[kn] set to `value`, or deleted."""
+
+    def edit(path, *keys, value=_DELETE):
+        with open(path) as fh:
+            data = json.load(fh)
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+
+    return edit
 
 
 # One pass/fail line per acceptance criterion, echoed after the run so

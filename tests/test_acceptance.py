@@ -12,9 +12,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from sqgt import decoders
+from sqgt import codebook, decoders, disjunct, sequences
 from sqgt import (
     HeadroomError,
+    InvalidInput,
     QUANTIZED_BH,
     SQLO_L,
     SQLO_S,
@@ -48,8 +49,23 @@ from sqgt import (
     verified_sequence,
     verify_sq_separable,
 )
-from sqgt.cli import _bench_code
 from sqgt.sequences import _check_sqlo, _check_sqlo_s_via_bh
+
+
+def _bench_code(K: int, kind: str, d: int):
+    """Fixed-size base, growing sequence; unit thresholds keep every
+    kind check cheap."""
+    if kind == sequences.SQLO_S:
+        values = sequences.base_recursive_superincreasing(d, K).values
+    else:
+        if d != 2:
+            raise InvalidInput("bench SQLO_l sequences are generated for d=2 only")
+        values = sequences.strong_lex_base(K).values
+    top = sum(sorted(values)[-d:]) + 1
+    th = unit_thresholds(top)
+    seq = sequences.verified_sequence(values, th, d, kind)
+    base = disjunct.identity_code(2)
+    return codebook.build(base, seq, th, d, mode=codebook.PERMISSIVE)
 
 
 def test_criterion_01_scaled_construction_bins(acceptance_record, th_step3):

@@ -1,6 +1,6 @@
 import pytest
 
-from sqgt import CampaignSummary, simulate_campaign
+from sqgt import CampaignSummary, InvalidInput, simulate_campaign
 from sqgt.campaign import EXHAUSTIVE, SEEDED_RANDOM
 
 
@@ -48,7 +48,7 @@ def test_seeded_random_policy(code_corpus):
     b = simulate_campaign(code, policy=SEEDED_RANDOM, seed=3, samples_per_set=4)
     assert a.cases == b.cases == 45 * 4
     assert a.failures == b.failures == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidInput, match="unknown error policy"):
         simulate_campaign(code, policy="nope")
 
 

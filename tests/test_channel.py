@@ -14,7 +14,6 @@ from sqgt import (
     syndrome,
     unit_thresholds,
 )
-from sqgt.channel import code_support_signature
 
 
 def _entry(code_corpus, name):
@@ -55,12 +54,6 @@ def test_syndrome_overflow_names_coordinate():
 def test_support_signature_collapses_scalings():
     vectors = [[2, 0, 2, 2], [6, 0, 6, 6], [2, 0, 2, 0]]
     assert support_signature(vectors) == {(1, 0, 1, 1), (1, 0, 1, 0)}
-
-
-def test_code_support_signature(code_corpus):
-    code = _entry(code_corpus, "qbh-i3-d2")
-    assert code_support_signature(code, [0, 3, 6]) == {0}
-    assert code_support_signature(code, [0, 4, 8]) == {0, 1, 2}
 
 
 def test_inject_explicit():

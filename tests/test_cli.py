@@ -1,9 +1,8 @@
-import csv
-import io
 import json
 
 import pytest
 
+from sqgt import CorruptCode, load_code
 from sqgt.cli import main
 
 TH_GAPS = "[0, 2, 5, 6, 10, 13, 15, 16, 18, 21]"
@@ -16,6 +15,15 @@ def run(capsys, *argv):
     return rc, out
 
 
+def run_error(capsys, *argv):
+    """Run a command that must fail with exit 1 and one `error:` line."""
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
 def build_demo_code(capsys, tmp_path, mode="strict"):
     prefix = str(tmp_path / "demo")
     rc, out = run(
@@ -26,6 +34,7 @@ def build_demo_code(capsys, tmp_path, mode="strict"):
         "--d", "2", "--mode", mode, "--out", prefix,
     )
     assert rc == 0
+    assert out.strip() == f"wrote {prefix}.json (2x6, q=13)"
     return prefix
 
 
@@ -151,12 +160,83 @@ def test_report(capsys):
     assert abs(payload["tests_lower_bound_counting"] - 33.2) < 0.1
 
 
-def test_bench_csv(capsys):
-    rc, out = run(capsys, "bench", "--Ks", "3,4", "--reps", "2")
+def test_code_build_output_is_a_simulate_config(capsys, tmp_path):
+    prefix = build_demo_code(capsys, tmp_path)
+    rc, out = run(capsys, "--json", "simulate", "--config", prefix + ".json")
+    summary = json.loads(out)
+    assert rc == 0 and summary["cases"] == 21 and summary["failures"] == 0
+
+
+def test_code_build_json_names_the_one_file(capsys, tmp_path):
+    prefix = str(tmp_path / "demo")
+    rc, out = run(
+        capsys, "--json", "code", "build", "--thresholds", TH_STEP3_TALL,
+        "--base", "identity:2", "--values", "3 6 12", "--kind", "sqlo-s",
+        "--h", "3", "--d", "2", "--out", prefix,
+    )
     assert rc == 0
-    rows = list(csv.DictReader(io.StringIO(out)))
-    kinds = {(r["K"], r["decoder"]) for r in rows}
-    assert ("3", "sqlo-s") in kinds and ("4", "sqlo-l") in kinds
-    table = {r["K"]: r["mean_seconds"] for r in rows
-             if r["decoder"] == "quantized-bh-table-size"}
-    assert table == {"3": "6", "4": "10"}
+    assert json.loads(out) == {"code": prefix + ".json", "m": 2, "n": 6, "q": 13}
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.json"]
+
+
+def test_code_build_from_a_sequence_file(capsys, tmp_path):
+    rc, out = run(
+        capsys, "--json", "seq", "gen",
+        "--thresholds", TH_GAPS, "--kind", "sqlo-s", "--h", "3", "--K", "3",
+    )
+    seq_path = tmp_path / "seq.json"
+    seq_path.write_text(out)
+    prefix = str(tmp_path / "demo")
+    rc, out = run(
+        capsys, "code", "build", "--thresholds", TH_GAPS, "--base", "identity:3",
+        "--sequence", str(seq_path), "--d", "1", "--out", prefix,
+    )
+    assert rc == 0
+    assert load_code(prefix + ".json").sequence.values == (2, 5, 11)
+    seq_path.write_text("{not json")
+    run_error(
+        capsys, "code", "build", "--thresholds", TH_GAPS, "--base", "identity:3",
+        "--sequence", str(seq_path), "--d", "1", "--out", prefix,
+    )
+
+
+@pytest.mark.parametrize("keys, edit, message", [
+    (("sequence", "values"), {"value": "36"}, "'sequence.values' must be"),
+    (("d",), {"value": "2"}, "'d' must be int"),
+    (("d",), {}, "missing key 'd'"),  # deleted
+    (("thresholds", 1), {"value": 3.7}, "threshold 3.7 is not an integer"),
+], ids=["values-string", "d-string", "d-missing", "threshold-float"])
+def test_malformed_code_file_is_refused(capsys, tmp_path, edit_json, keys, edit, message):
+    path = build_demo_code(capsys, tmp_path) + ".json"
+    edit_json(path, *keys, **edit)
+    with pytest.raises(CorruptCode, match=message):
+        load_code(path)
+    assert message in run_error(capsys, "simulate", "--config", path)
+
+
+@pytest.mark.parametrize("spec", ["identity:x", "ks:3", "ks:3,2,1", "nope:1", "random:4,-1"])
+def test_malformed_base_spec_is_refused(capsys, tmp_path, spec):
+    err = run_error(
+        capsys, "code", "build", "--thresholds", TH_STEP3_TALL, "--base", spec,
+        "--values", "3 6", "--d", "1", "--out", str(tmp_path / "demo"),
+    )
+    assert "base.spec" in err
+
+
+def test_missing_files_are_errors_not_tracebacks(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    run_error(capsys, "decode", "--code", missing, "--y", "3 0")
+    run_error(capsys, "simulate", "--config", missing)
+    run_error(capsys, "seq", "gen", "--thresholds", missing, "--kind", "sqlo-s",
+              "--h", "2", "--K", "2")
+    run_error(
+        capsys, "code", "build", "--thresholds", TH_STEP3_TALL,
+        "--base", "file:" + missing, "--base-d", "1", "--base-e", "0",
+        "--values", "3 6", "--d", "1", "--out", str(tmp_path / "demo"),
+    )
+
+
+def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):
+    path = build_demo_code(capsys, tmp_path) + ".json"
+    edit_json(path, "errors", value={"policy": "nope"})
+    assert "unknown error policy" in run_error(capsys, "simulate", "--config", path)

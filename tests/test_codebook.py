@@ -1,4 +1,3 @@
-import json
 import math
 from itertools import combinations
 
@@ -32,7 +31,7 @@ from sqgt import (
     verified_sequence,
     verify_sq_separable,
 )
-from sqgt.codebook import matrix_from_text, matrix_to_text
+from sqgt.codebook import matrix_from_text
 
 
 def _entry(code_corpus, name):
@@ -198,7 +197,8 @@ def test_feasibility_report_checks(th_gaps):
 
 def test_matrix_text_round_trip(code_corpus):
     code = _entry(code_corpus, "qbh-i3-d2")
-    text = matrix_to_text(code.matrix, code.q)
+    rows = (" ".join(map(str, row)) for row in code.matrix.tolist())
+    text = f"{code.m} {code.n} {code.q}\n" + "\n".join(rows) + "\n"
     matrix, q = matrix_from_text(text)
     assert q == code.q
     assert (matrix == code.matrix).all()
@@ -208,18 +208,25 @@ def test_matrix_text_round_trip(code_corpus):
         matrix_from_text("2 2 4\n0 1\n")  # missing row
     with pytest.raises(InvalidInput):
         matrix_from_text("1 2 4\n0 9\n")  # entry outside alphabet
+    with pytest.raises(InvalidInput):
+        matrix_from_text("2 2 4\n0 1\n0 x\n")  # entry not an integer
 
 
 def test_save_load_round_trip(code_corpus, tmp_path):
-    code = _entry(code_corpus, "sqs-rep3-d2-e1-perm")
-    _, sidecar = save_code(code, str(tmp_path / "code"))
-    loaded = load_code(sidecar)
-    assert (loaded.matrix == code.matrix).all()
-    assert loaded.thresholds == code.thresholds
-    assert loaded.sequence == code.sequence
-    assert (loaded.base.matrix == code.base.matrix).all()
-    assert (loaded.d, loaded.e, loaded.q, loaded.mode) == (
-        code.d, code.e, code.q, code.mode,
+    for name, code in code_corpus:
+        path = save_code(code, str(tmp_path / name))
+        assert path == str(tmp_path / name) + ".json"
+        loaded = load_code(path)
+        assert (loaded.matrix == code.matrix).all(), name
+        assert loaded.thresholds == code.thresholds
+        assert loaded.sequence == code.sequence
+        assert (loaded.base.matrix == code.base.matrix).all()
+        assert (loaded.base.d, loaded.base.e) == (code.base.d, code.base.e)
+        assert (loaded.d, loaded.e, loaded.q, loaded.mode) == (
+            code.d, code.e, code.q, code.mode,
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        name + ".json" for name, _ in code_corpus
     )
 
 
@@ -227,36 +234,22 @@ def _saved_identity_code(tmp_path, values):
     th = uniform_thresholds(3, 15)
     seq = verified_sequence(values, th, 2, QUANTIZED_BH)
     code = build(identity_code(4), seq, th, 2, "strict")
-    matrix_path, sidecar = save_code(code, str(tmp_path / "code"))
-    return code, matrix_path, sidecar
+    return save_code(code, str(tmp_path / "code"))
 
 
-def test_load_rejects_edited_later_block(tmp_path):
-    code, matrix_path, sidecar = _saved_identity_code(tmp_path, [3, 6, 12])
-    matrix = code.matrix.copy()
-    assert matrix[0, 5] == 0  # row 0, base column 1 of multiplier block 1
-    matrix[0, 5] = 6
-    with open(matrix_path, "w") as fh:
-        fh.write(matrix_to_text(matrix, code.q))
-    with pytest.raises(CorruptCode):
-        load_code(sidecar)
+def test_load_rejects_non_binary_base(tmp_path, edit_json):
+    path = _saved_identity_code(tmp_path, [3, 6, 12])
+    edit_json(path, "base", "matrix", 0, 1, value=2)
+    with pytest.raises(CorruptCode, match="binary"):
+        load_code(path)
 
 
-def test_load_rejects_false_error_claim(tmp_path):
-    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
-    with open(sidecar) as fh:
-        data = json.load(fh)
-    data["e"] = 1
-    with open(sidecar, "w") as fh:
-        json.dump(data, fh)
-    with pytest.raises(CorruptCode):
-        load_code(sidecar)
-    # claiming it for the base as well fails the column-weight test
-    data["base"]["e"] = 1
-    with open(sidecar, "w") as fh:
-        json.dump(data, fh)
+def test_load_rejects_false_error_claim(tmp_path, edit_json):
+    path = _saved_identity_code(tmp_path, [3, 6])
+    # an identity base cannot correct an error: its columns have weight 1
+    edit_json(path, "base", "e", value=1)
     with pytest.raises(CorruptCode, match="weight"):
-        load_code(sidecar)
+        load_code(path)
 
 
 def test_verify_sq_separable_bins_above_255():
@@ -273,20 +266,16 @@ def test_verify_sq_separable_bins_above_255():
 
 
 def test_load_rejects_sidecar_that_is_not_json(tmp_path):
-    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
-    with open(sidecar, "w") as fh:
+    path = _saved_identity_code(tmp_path, [3, 6])
+    with open(path, "w") as fh:
         fh.write("{not json")
     with pytest.raises(CorruptCode, match="not valid JSON"):
-        load_code(sidecar)
+        load_code(path)
 
 
-@pytest.mark.parametrize("key", ["d", "base", "matrix", "thresholds"])
-def test_load_rejects_sidecar_without_a_key(tmp_path, key):
-    _, _, sidecar = _saved_identity_code(tmp_path, [3, 6])
-    with open(sidecar) as fh:
-        data = json.load(fh)
-    del data[key]
-    with open(sidecar, "w") as fh:
-        json.dump(data, fh)
-    with pytest.raises(CorruptCode, match=key):
-        load_code(sidecar)
+@pytest.mark.parametrize("key", ["d", "base", "sequence", "thresholds"])
+def test_load_rejects_sidecar_without_a_key(tmp_path, edit_json, key):
+    path = _saved_identity_code(tmp_path, [3, 6])
+    edit_json(path, key)
+    with pytest.raises(CorruptCode, match=f"missing key '{key}'"):
+        load_code(path)

@@ -7,9 +7,7 @@ from sqgt import (
     OutOfRange,
     Thresholds,
     bin_bounds,
-    bin_greater,
     quantize,
-    quantize_vector,
     uniform_thresholds,
     unit_thresholds,
 )
@@ -42,12 +40,6 @@ def test_out_of_range(th_gaps):
         quantize(th_gaps, 1000)
 
 
-def test_quantize_vector_names_coordinate(th_gaps):
-    assert quantize_vector(th_gaps, [0, 5, 20]) == (0, 2, 8)
-    with pytest.raises(OutOfRange, match="coordinate 2"):
-        quantize_vector(th_gaps, [0, 5, 21])
-
-
 def test_bin_bounds_round_trip(th_gaps):
     for r in range(th_gaps.Q):
         lo, hi = bin_bounds(th_gaps, r)
@@ -59,12 +51,6 @@ def test_bin_bounds_round_trip(th_gaps):
         bin_bounds(th_gaps, -1)
 
 
-def test_bin_greater(th_gaps):
-    assert bin_greater(th_gaps, 5, 2)
-    assert not bin_greater(th_gaps, 4, 2)  # same bin
-    assert not bin_greater(th_gaps, 2, 5)
-
-
 def test_invalid_thresholds():
     with pytest.raises(InvalidInput):
         Thresholds((0,))
@@ -74,6 +60,10 @@ def test_invalid_thresholds():
         Thresholds((0, 5, 5))
     with pytest.raises(InvalidInput):
         Thresholds((0, 5, 3))
+    with pytest.raises(InvalidInput, match="3.7 is not an integer"):
+        Thresholds((0, 3.7, 6))
+    with pytest.raises(InvalidInput, match="'3' is not an integer"):
+        Thresholds((0, "3", 6))
 
 
 def test_json_round_trip(th_gaps):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from bisect import bisect_right
@@ -164,7 +165,9 @@ def test_input_validation(th_gaps):
 
 def test_sequence_json_round_trip(th_gaps):
     seq = verified_sequence([2, 5, 11], th_gaps, 3, SQLO_S)
-    assert MultiplierSequence.from_json(seq.to_json()) == seq
+    data = json.loads(seq.to_json())
+    th = Thresholds(tuple(data["thresholds"]))
+    assert verified_sequence(data["values"], th, data["h"], data["kind"]) == seq
 
 
 # --- the two SQLO_s check routes agree ---
