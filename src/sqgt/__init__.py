@@ -24,9 +24,6 @@ from .codebook import (
 from .campaign import CampaignSummary, simulate_campaign
 from .decoders import (
     DecodedResult,
-    dec_qbh,
-    dec_sqlo_l,
-    dec_sqlo_s,
     decode,
     oracle_decode,
     recover_support,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -113,17 +114,20 @@ def simulate_campaign(
         summary = _run_chunk(code, sets, e_inject, policy, seed, samples_per_set, budget)
     else:
         chunk_size = max(1, len(sets) // workers)
-        chunks = [
-            sets[i : i + chunk_size] for i in range(0, len(sets), chunk_size)
-        ]
-        per_chunk_budget = None if budget is None else max(1, budget // len(chunks))
+        # Every set has the same number of outcomes, so the budget's first
+        # cases in enumeration order end at a known place in each chunk.
+        per_set = samples_per_set if policy == SEEDED_RANDOM else sum(
+            math.comb(code.m, t) * (code.thresholds.Q - 1) ** t
+            for t in range(min(e_inject, code.m) + 1)
+        )
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(
-                    _run_chunk, code, chunk, e_inject, policy, seed,
-                    samples_per_set, per_chunk_budget,
+                    _run_chunk, code, sets[i : i + chunk_size], e_inject, policy,
+                    seed, samples_per_set,
+                    None if budget is None else max(0, budget - i * per_set),
                 )
-                for chunk in chunks
+                for i in range(0, len(sets), chunk_size)
             ]
             for fut in futures:
                 summary.merge(fut.result())

@@ -100,7 +100,7 @@ def inject_random(
     m = len(outcome.y)
     for _ in range(count):
         t = int(rng.integers(0, min(e, m) + 1))
-        coords = tuple(sorted(rng.choice(m, size=t, replace=False))) if t else ()
+        coords = tuple(sorted(rng.choice(m, size=t, replace=False).tolist())) if t else ()
         y = list(outcome.y)
         for k in coords:
             others = [v for v in range(Q) if v != outcome.y[k]]

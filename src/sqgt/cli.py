@@ -14,6 +14,7 @@ import sys
 
 from . import campaign, codebook, decoders, sequences
 from .channel import TestOutcome, inject_exhaustive, inject_explicit, syndrome
+from .codebook import _field
 from .errors import DecodingFailure, InvalidInput, SqgtError
 from .quantization import load_thresholds
 
@@ -126,8 +127,11 @@ def cmd_inject(args) -> int:
     if args.explicit:
         changes = []
         for part in args.explicit.split(","):
-            pos, val = part.split(":")
-            changes.append((int(pos), int(val)))
+            pos, _, val = part.partition(":")
+            try:
+                changes.append((int(pos), int(val)))
+            except ValueError as exc:
+                raise InvalidInput(f"expected pos:val, got {part!r}") from exc
         outcomes = [inject_explicit(y, changes, args.Q)]
     else:
         outcomes = list(inject_exhaustive(y, args.e, args.Q))
@@ -152,16 +156,14 @@ def cmd_decode(args) -> int:
 def cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     code = codebook.code_from_config(cfg)
-    err = cfg.get("errors", {})
-    if not isinstance(err, dict):
-        raise InvalidInput("key 'errors' must be an object")
+    err = _field(cfg, "errors", (dict,), default={})
     summary = campaign.simulate_campaign(
         code,
-        e_inject=err.get("e"),
-        policy=err.get("policy", campaign.EXHAUSTIVE),
-        seed=cfg.get("seed", 0),
-        samples_per_set=err.get("samples", 10),
-        budget=cfg.get("budget"),
+        e_inject=_field(err, "e", (int,), "errors.", None),
+        policy=_field(err, "policy", (str,), "errors.", campaign.EXHAUSTIVE),
+        seed=_field(cfg, "seed", (int,), default=0),
+        samples_per_set=_field(err, "samples", (int,), "errors.", 10),
+        budget=_field(cfg, "budget", (int,), default=None),
         workers=args.workers,
     )
     payload = summary.as_dict()

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SqgtError,
 )
-from .quantization import Thresholds, load_thresholds
+from .quantization import Thresholds, load_thresholds, quantize
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
@@ -55,9 +55,7 @@ class DecoderPlan:
 
     coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
     block_of: dict[int, int]  # multiplier value -> block index
-    # quantized-bh only: subset sums ascending, and their subsets
-    sums: tuple[int, ...]
-    subsets: tuple[frozenset[int], ...]
+    subset_in_bin: dict[int, frozenset[int]]  # quantized-bh only: bin -> subset
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,7 @@ class SqgtCode:
     @cached_property
     def plan(self) -> DecoderPlan:
         """The decoders' per-code plan, built on first use."""
+        # h >= d puts every sum of at most d multipliers in its own bin.
         table = (
             subset_sums(self.sequence, self.d)
             if self.sequence.kind == QUANTIZED_BH
@@ -94,8 +93,7 @@ class SqgtCode:
         return DecoderPlan(
             coords=tuple(tuple(np.flatnonzero(col).tolist()) for col in self.base.matrix.T),
             block_of={a: j for j, a in enumerate(self.sequence.values)},
-            sums=tuple(total for total, _ in table),
-            subsets=tuple(subset for _, subset in table),
+            subset_in_bin={quantize(self.thresholds, total): s for total, s in table},
         )
 
     def column_block(self, col: int) -> tuple[int, int]:

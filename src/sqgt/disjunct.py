@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import InvalidInput
 
 DEFAULT_VERIFY_BUDGET = 10**8
+MAX_RETRIES = 50  # random_code draws before giving up
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,6 @@ class BinaryDisjunctCode:
     d: int
     e: int
     provenance: str = "user-supplied"
-    params: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
@@ -113,10 +113,7 @@ def kautz_singleton(
         for x in range(q_field):
             val = sum(c * pow(x, i, q_field) for i, c in enumerate(coeffs)) % q_field
             matrix[x * q_field + val, col] = 1
-    return BinaryDisjunctCode(
-        matrix, d=d, e=e, provenance="kautz-singleton",
-        params={"q_field": q_field, "k": k},
-    )
+    return BinaryDisjunctCode(matrix, d=d, e=e, provenance="kautz-singleton")
 
 
 def random_code(
@@ -126,36 +123,29 @@ def random_code(
     e: int = 0,
     density: float | None = None,
     seed: int = 0,
-    max_retries: int = 50,
-    budget: int = DEFAULT_VERIFY_BUDGET,
 ) -> BinaryDisjunctCode:
     """i.i.d. Bernoulli draws, emitted only after passing verify_disjunct;
     a failed draw retries with an incremented seed."""
     if density is None:
         density = 1.0 / (d + 1)
-    for attempt in range(max_retries):
+    for attempt in range(MAX_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         matrix = (rng.random((m, n)) < density).astype(int)
         if (matrix.sum(axis=0) == 0).any():
             continue
-        if verify_disjunct(matrix, d, e, budget=budget):
-            return BinaryDisjunctCode(
-                matrix, d=d, e=e, provenance="random",
-                params={"seed": seed + attempt, "density": density},
-            )
+        if verify_disjunct(matrix, d, e):
+            return BinaryDisjunctCode(matrix, d=d, e=e, provenance="random")
     raise InvalidInput(
-        f"no {d}-disjunct draw with e={e} found in {max_retries} attempts "
+        f"no {d}-disjunct draw with e={e} found in {MAX_RETRIES} attempts "
         f"(m={m}, n={n}, density={density})"
     )
 
 
-def user_code(
-    matrix, d: int, e: int, verify: bool = True, budget: int = DEFAULT_VERIFY_BUDGET
-) -> BinaryDisjunctCode:
+def user_code(matrix, d: int, e: int) -> BinaryDisjunctCode:
     """Wrap a caller-supplied binary matrix, brute-force verifying its
-    claimed parameters by default."""
+    claimed parameters."""
     matrix = np.asarray(matrix, dtype=int)
-    if verify and not verify_disjunct(matrix, d, e, budget=budget):
+    if not verify_disjunct(matrix, d, e):
         raise InvalidInput(f"matrix is not {d}-disjunct with e={e}")
     return BinaryDisjunctCode(matrix, d=d, e=e, provenance="user-supplied")
 
@@ -167,6 +157,5 @@ def replicated_identity(n: int, copies: int) -> BinaryDisjunctCode:
         raise InvalidInput("need n >= 2 and copies >= 1")
     matrix = np.repeat(np.eye(n, dtype=int), copies, axis=0)
     return BinaryDisjunctCode(
-        matrix, d=n - 1, e=(copies - 1) // 2, provenance="replicated-identity",
-        params={"copies": copies},
+        matrix, d=n - 1, e=(copies - 1) // 2, provenance="replicated-identity"
     )

@@ -26,9 +26,6 @@ from sqgt import (
     build,
     check_base,
     check_sequence,
-    dec_qbh,
-    dec_sqlo_l,
-    dec_sqlo_s,
     decode,
     feasibility_report,
     gamma_bound,
@@ -281,7 +278,7 @@ def test_criterion_09_complexity_scaling(acceptance_record, monkeypatch):
     start = time.perf_counter()
     Ks = [4, 8, 12, 16]
     slopes = {}
-    for kind, decoder in ((SQLO_S, dec_sqlo_s), (SQLO_L, dec_sqlo_l)):
+    for kind in (SQLO_S, SQLO_L):
         means = []
         for K in Ks:
             code = _bench_code(K, kind, 2)
@@ -290,7 +287,7 @@ def test_criterion_09_complexity_scaling(acceptance_record, monkeypatch):
             for _ in range(5):
                 t0 = time.perf_counter()
                 for _r in range(50):
-                    decoder(y, code)
+                    decode(y, code)
                 best = min(best, (time.perf_counter() - t0) / 50)
             means.append(best)
         slope = float(np.polyfit(np.log(Ks), np.log(means), 1)[0])

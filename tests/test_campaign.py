@@ -1,6 +1,15 @@
 import pytest
 
-from sqgt import CampaignSummary, InvalidInput, simulate_campaign
+from sqgt import (
+    QUANTIZED_BH,
+    CampaignSummary,
+    InvalidInput,
+    build,
+    identity_code,
+    simulate_campaign,
+    uniform_thresholds,
+    verified_sequence,
+)
 from sqgt.campaign import EXHAUSTIVE, SEEDED_RANDOM
 
 
@@ -57,6 +66,23 @@ def test_workers_agree_with_serial(code_corpus):
     serial = simulate_campaign(code)
     parallel = simulate_campaign(code, workers=2)
     assert (serial.cases, serial.failures) == (parallel.cases, parallel.failures)
+
+
+def test_budget_is_exact_at_any_worker_count():
+    th = uniform_thresholds(3, 15)
+    seq = verified_sequence([3, 6], th, 2, QUANTIZED_BH)
+    code = build(identity_code(4), seq, th, 2)
+
+    def counts(**kwargs):
+        return {
+            (s.cases, s.successes, s.failures, s.truncated)
+            for s in (simulate_campaign(code, workers=w, **kwargs) for w in (1, 2, 3))
+        }
+
+    # the first 100 of the 36 * 57 one-error cases, whatever the chunking
+    assert counts(e_inject=1, budget=100) == {(100, 2, 98, True)}
+    assert len(counts(e_inject=1, policy=SEEDED_RANDOM, samples_per_set=7, budget=50)) == 1
+    assert counts(budget=36) == {(36, 36, 0, False)}
 
 
 def test_summary_merge():

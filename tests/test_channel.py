@@ -1,3 +1,4 @@
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -93,6 +94,13 @@ def test_inject_random_deterministic():
     b = [o.y for o in inject_random(clean, 1, Q=8, seed=5, count=20)]
     assert a == b
     assert all(sum(x != y for x, y in zip(clean.y, o)) <= 1 for o in a)
+
+
+def test_seeded_outcomes_serialise():
+    clean = TestOutcome((3, 0, 1, 2))
+    for outcome in inject_random(clean, 2, Q=8, seed=5, count=20):
+        errors = json.loads(outcome.to_json())["errors"]
+        assert errors == [[p, outcome.y[p]] for p in outcome.error_positions]
 
 
 def test_inject_random_bounds_the_error_count():

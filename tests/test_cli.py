@@ -136,6 +136,12 @@ def test_inject(capsys):
     assert json.loads(out) == [{"y": [3, 5], "errors": [[1, 5]]}]
 
 
+@pytest.mark.parametrize("pairs", ["1", "a:1", "1:x"])
+def test_inject_rejects_malformed_pairs(capsys, pairs):
+    err = run_error(capsys, "inject", "--y", "3 0", "--Q", "8", "--explicit", pairs)
+    assert repr(pairs) in err
+
+
 def test_simulate_deterministic(capsys, tmp_path):
     config = {
         "thresholds": list(range(0, 46, 3)),
@@ -240,3 +246,18 @@ def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, "errors", value={"policy": "nope"})
     assert "unknown error policy" in run_error(capsys, "simulate", "--config", path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("errors", [], "'errors' must be dict"),
+    ("errors", {"e": "1"}, "'errors.e' must be int"),
+    ("errors", {"e": True}, "'errors.e' must be int"),
+    ("errors", {"policy": 1}, "'errors.policy' must be str"),
+    ("errors", {"samples": "4"}, "'errors.samples' must be int"),
+    ("seed", None, "'seed' must be int"),
+    ("budget", "5", "'budget' must be int"),
+], ids=["errors-list", "e-string", "e-bool", "policy-int", "samples-string", "seed-null", "budget-string"])
+def test_simulate_rejects_mistyped_campaign_keys(capsys, tmp_path, edit_json, key, value, message):
+    path = build_demo_code(capsys, tmp_path) + ".json"
+    edit_json(path, key, value=value)
+    assert message in run_error(capsys, "simulate", "--config", path)

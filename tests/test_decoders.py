@@ -8,10 +8,6 @@ from sqgt import (
     InvalidBase,
     InvalidBin,
     InvalidInput,
-    UnsupportedKind,
-    dec_qbh,
-    dec_sqlo_l,
-    dec_sqlo_s,
     decode,
     inject_exhaustive,
     oracle_decode,
@@ -47,7 +43,7 @@ def test_select_witness_coords():
 
 def test_dec_qbh_round_trip(code_corpus):
     code = _entry(code_corpus, "qbh-i2-d2")
-    result = dec_qbh(syndrome(code, [0, 2]), code)
+    result = decode(syndrome(code, [0, 2]), code)
     assert result.defectives == frozenset({0, 2})
     assert result.per_support == ((0, (3, 6)),)
     assert result.warning is None
@@ -55,7 +51,7 @@ def test_dec_qbh_round_trip(code_corpus):
 
 def test_dec_sqlo_s_round_trip(code_corpus):
     code = _entry(code_corpus, "sqs-i2-d2")
-    result = dec_sqlo_s(syndrome(code, [0, 2]), code)
+    result = decode(syndrome(code, [0, 2]), code)
     assert result.defectives == frozenset({0, 2})
     assert result.per_support == ((0, (3, 6)),)
 
@@ -63,18 +59,23 @@ def test_dec_sqlo_s_round_trip(code_corpus):
 def test_dec_sqlo_l_round_trip(code_corpus):
     code = _entry(code_corpus, "sql-i2-d2")
     # columns 1 and 5 are base column 1 scaled by 3 and 5
-    result = dec_sqlo_l(syndrome(code, [1, 5]), code)
+    result = decode(syndrome(code, [1, 5]), code)
     assert result.defectives == frozenset({1, 5})
 
 
 def test_decoder_kind_dispatch(code_corpus):
-    qbh = _entry(code_corpus, "qbh-i2-d2")
     sqs = _entry(code_corpus, "sqs-i2-d2")
-    with pytest.raises(UnsupportedKind):
-        dec_sqlo_s(syndrome(qbh, [0]), qbh)
-    with pytest.raises(UnsupportedKind):
-        dec_qbh(syndrome(sqs, [0]), sqs)
     assert decode(syndrome(sqs, [0]), sqs).defectives == frozenset({0})
+
+
+def test_split_witnesses_fail_on_quantized_bh(code_corpus):
+    code = _entry(code_corpus, "qbh-rep4-d2-e1")
+    # base column 0 owns rows 0-2; its three witnesses lie in three bins,
+    # so no bin holds e + 1 = 2 of them
+    y = (1, 2, 3) + (0,) * 9
+    assert recover_support(y, code.base.matrix, code.e) == [0]
+    with pytest.raises(DecodingFailure, match="witness votes"):
+        decode(y, code)
 
 
 def test_empty_support_warns(code_corpus):

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from sqgt import (
+    BinaryDisjunctCode,
     InvalidInput,
     identity_code,
     kautz_singleton,
@@ -81,3 +84,13 @@ def test_user_code_round_trip():
     assert wrapped.d == 2
     with pytest.raises(InvalidInput):
         user_code(np.eye(3, dtype=int), 2, 1)
+
+
+def test_bases_keep_no_unused_knobs():
+    # a user-supplied base is always verified, and no construction
+    # parameters are stored that nothing reads
+    with pytest.raises(TypeError):
+        user_code(np.eye(3, dtype=int), 2, 0, verify=False)
+    with pytest.raises(TypeError):
+        random_code(12, 6, 1, max_retries=1)
+    assert [f.name for f in fields(BinaryDisjunctCode)] == ["matrix", "d", "e", "provenance"]
