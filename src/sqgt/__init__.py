@@ -70,7 +70,6 @@ from .sequences import (
     BaseSequence,
     MultiplierSequence,
     base_recursive_superincreasing,
-    brute_force_subset_sum,
     check_base,
     check_sequence,
     gamma_bound,

@@ -50,7 +50,7 @@ def _defective_sets(code: SqgtCode, d_max: int):
         yield from combinations(range(code.n), size)
 
 
-def _outcomes(clean, e: int, Q: int, policy: str, seed: int, samples: int):
+def _outcomes(clean, e: int, Q: int, policy: str, seed: tuple[int, int], samples: int):
     if policy == EXHAUSTIVE:
         return inject_exhaustive(clean, e, Q)
     return inject_random(clean, e, Q, seed, samples)
@@ -67,10 +67,11 @@ def _run_chunk(
 ) -> CampaignSummary:
     summary = CampaignSummary()
     Q = code.thresholds.Q
-    for D in chunk:
+    for index, D in chunk:
         truth = frozenset(D)
         clean = syndrome(code, D)
-        for outcome in _outcomes(clean, e_inject, Q, policy, seed, samples):
+        # each set draws from its own stream, whatever chunk it lands in
+        for outcome in _outcomes(clean, e_inject, Q, policy, (seed, index), samples):
             if budget is not None and summary.cases >= budget:
                 summary.truncated = True
                 return summary
@@ -105,10 +106,12 @@ def simulate_campaign(
     counts.  Under contract (e_inject <= code.e) failures must be 0."""
     if policy not in (EXHAUSTIVE, SEEDED_RANDOM):
         raise InvalidInput(f"unknown error policy {policy!r}")
+    if samples_per_set < 1:
+        raise InvalidInput(f"samples_per_set must be >= 1, got {samples_per_set}")
     if e_inject is None:
         e_inject = code.e
     start = time.perf_counter()
-    sets = list(_defective_sets(code, code.d))
+    sets = list(enumerate(_defective_sets(code, code.d)))
     summary = CampaignSummary()
     if workers <= 1:
         summary = _run_chunk(code, sets, e_inject, policy, seed, samples_per_set, budget)

@@ -90,10 +90,11 @@ def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutc
 
 
 def inject_random(
-    outcome: TestOutcome, e: int, Q: int, seed: int, count: int
+    outcome: TestOutcome, e: int, Q: int, seed: int | tuple[int, ...], count: int
 ) -> Iterator[TestOutcome]:
     """Deterministic seeded sampling of <= e-error patterns; at most m
-    coordinates can change."""
+    coordinates can change.  The seed is an int or a tuple of ints, such as
+    a campaign's (seed, defective-set index)."""
     if e < 0:
         raise InvalidInput(f"e must be >= 0, got {e}")
     rng = np.random.default_rng(seed)

@@ -157,12 +157,15 @@ def cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     code = codebook.code_from_config(cfg)
     err = _field(cfg, "errors", (dict,), default={})
+    samples = _field(err, "samples", (int,), "errors.", 10)
+    if samples < 1:
+        raise InvalidInput(f"key 'errors.samples' must be >= 1, got {samples}")
     summary = campaign.simulate_campaign(
         code,
         e_inject=_field(err, "e", (int,), "errors.", None),
         policy=_field(err, "policy", (str,), "errors.", campaign.EXHAUSTIVE),
         seed=_field(cfg, "seed", (int,), default=0),
-        samples_per_set=_field(err, "samples", (int,), "errors.", 10),
+        samples_per_set=samples,
         budget=_field(cfg, "budget", (int,), default=None),
         workers=args.workers,
     )

@@ -37,6 +37,7 @@ from .quantization import Thresholds, load_thresholds, quantize
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
+    _cardinality_feasible,
     check_sequence,
     greedy_generate,
     subset_sums,
@@ -256,18 +257,11 @@ def feasibility_report(
                 d * d / (2 * math.log2(d)) * math.log2(n)
             )
     if K and h and Q:
-        if K <= h:
-            feasible = 2**K <= Q
-            report["cardinality_check"] = {
-                "condition": f"2^K <= Q ({2**K} <= {Q})",
-                "feasible": feasible,
-            }
-        else:
-            needed = sum(math.comb(K, i) for i in range(h + 1))
-            report["cardinality_check"] = {
-                "condition": f"sum C(K,i) <= Q ({needed} <= {Q})",
-                "feasible": needed <= Q,
-            }
+        violation = _cardinality_feasible(K, h, Q)
+        report["cardinality_check"] = {
+            "condition": violation or f"subsets of cardinality <= {h} fit in Q={Q} bins",
+            "feasible": violation is None,
+        }
     if q is not None and th is not None:
         ok = q >= th.eta[1] + 1
         report["alphabet_check"] = {

@@ -12,10 +12,13 @@ small subsets must be ordered:
 * SQLO_l          -- subset sums are bin-ordered first by cardinality,
                      then lexicographically by sorted elements.
 
-Each checker computes the bin of every subset sum once.  The SQLO orders
-are total orders on subsets, so their checkers sort the subsets once and
-compare neighbours; quantized B_h needs only distinct bins.  The checkers
-are the correctness anchor for every construction in the package.
+Each order is a total order on the subsets of <= h elements (quantized
+B_h ranks them by bin), so one checker decides every kind: it computes the
+bin of every subset sum once, sorts the subsets by the kind's order and
+compares neighbours.  On the identity quantizer (bin = sum) the kinds are
+the classical base families: subset-sum-distinct, h-superincreasing and
+strong-lex sequences.  The checker is the correctness anchor for every
+construction in the package.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
     InvalidInput,
     UnsupportedKind,
 )
-from .quantization import Thresholds, quantize
+from .quantization import Thresholds
 
 QUANTIZED_BH = "quantized-bh"
 SQLO_S = "sqlo-s"
@@ -65,12 +68,22 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class MultiplierSequence:
-    """A sequence verified against its thresholds for the given kind."""
+    """A sequence verified against its thresholds for the given kind; the
+    constructor runs the kind check and raises InvalidInput if it fails."""
 
     values: tuple[int, ...]
     kind: str
     h: int
     thresholds: Thresholds
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        report = check_sequence(self.values, self.thresholds, self.h, self.kind)
+        if not report:
+            raise InvalidInput(
+                f"sequence {list(self.values)} is not {self.kind} for h={self.h}: "
+                f"{report.first_violation}"
+            )
 
     @property
     def K(self) -> int:
@@ -108,77 +121,61 @@ def _fmt(subset) -> str:
 
 
 def _cardinality_feasible(K: int, h: int, Q: int) -> str | None:
-    """Necessary counting conditions; None when satisfied."""
-    if K <= h:
-        if 2**K > Q:
-            return f"K={K} elements need 2^K={2**K} bins but only Q={Q} exist"
-    else:
-        needed = sum(math.comb(K, i) for i in range(h + 1))
-        if needed > Q:
-            return (
-                f"subsets of cardinality <= {h} need {needed} bins "
-                f"but only Q={Q} exist"
-            )
+    """The counting bound: the empty set and the subsets of at most h of K
+    elements need distinct bins.  None when Q bins suffice."""
+    needed = sum(math.comb(K, i) for i in range(min(h, K) + 1))
+    if needed > Q:
+        return f"subsets of cardinality <= {h} need {needed} bins but only Q={Q} exist"
     return None
 
 
-def _check_element_bins(seq, th) -> str | None:
-    """Property 1 of every family: distinct, increasing, nonzero bins."""
-    prev = 0
-    for i, a in enumerate(seq):
-        if a >= th.top:
-            return f"element {a} >= top threshold {th.top}"
-        b = quantize(th, a)
-        if i == 0 and b < 1:
-            return f"smallest element {a} lands in bin 0"
-        if i > 0 and b <= prev:
-            return f"elements {seq[i - 1]} and {a} do not lie in increasing bins"
-        prev = b
-    return None
+def _validated(seq) -> tuple[int, ...]:
+    """seq as a tuple of ints, which must be non-empty, strictly increasing
+    and positive."""
+    seq = tuple(int(v) for v in seq)
+    if not seq:
+        raise InvalidInput("empty sequence")
+    for a, b in zip(seq, seq[1:]):
+        if b <= a:
+            raise InvalidInput(f"sequence not strictly increasing at {a} -> {b}")
+    if seq[0] < 1:
+        raise InvalidInput("sequence elements must be positive")
+    return seq
 
 
-def _check_quantized_bh(seq, th, h) -> str | None:
-    violation = _check_element_bins(seq, th)
-    if violation:
-        return violation
-    seen: dict[int, tuple] = {}
-    for subset in _subsets_up_to(seq, h):
-        if sum(subset) >= th.top:
-            return f"subset sum {_fmt(subset)} = {sum(subset)} >= top threshold"
-        b = quantize(th, sum(subset))
-        if b in seen:
-            return (
-                f"subsets {_fmt(seen[b])} and {_fmt(subset)} share quantization bin {b}"
-            )
-        seen[b] = subset
-    return None
+def _order_violation(seq, th: Thresholds | None, h: int, kind: str) -> str | None:
+    """The defining order of a kind, in one sorted pass over the subsets of
+    at most h elements; th None is the identity quantizer (bin = sum, no
+    top), on which the kinds are the base families.
 
-
-def _check_sqlo(seq, th, h, kind) -> str | None:
-    """The defining order of an SQLO kind, in one sorted pass.
-
-    Each kind's order is a total order on the subsets of <= h elements, so
-    bins rise along it iff they rise between neighbours in it.  SQLO_l
-    ranks by cardinality, then lexicographically, the order combinations()
-    emits; SQLO_s ranks by the largest element of the symmetric difference
-    (a superset outranks its subsets), as binary numbers over the element
-    positions.
+    Each kind's order is a total order on the subsets, so bins rise along
+    it iff they rise between neighbours in it.  SQLO_l ranks by cardinality,
+    then lexicographically, the order combinations() emits; SQLO_s ranks by
+    the largest element of the symmetric difference (a superset outranks its
+    subsets), as binary numbers over the element positions; quantized B_h
+    ranks by bin, so rising means that no two subsets share one.  Every
+    element is a singleton subset, so the element bins rise too.
     """
-    violation = _check_element_bins(seq, th)
-    if violation:
-        return violation
     subsets = _subsets_up_to(seq, h)
-    for subset in subsets:
-        if sum(subset) >= th.top:
-            return f"subset sum {_fmt(subset)} = {sum(subset)} >= top threshold"
+    bins = [sum(subset) for subset in subsets]  # the identity quantizer's bins
+    if th is not None:
+        if bins[-1] >= th.top:  # the last subset holds the largest elements
+            return f"subset sum {_fmt(subsets[-1])} = {bins[-1]} >= top threshold"
+        bins = [bisect_right(th.eta, total) - 1 for total in bins]
+        if bins[0] < 1:
+            return f"smallest element {seq[0]} lands in bin 0"
+    order = range(len(subsets))
     if kind == SQLO_S:
         weight = {a: 1 << i for i, a in enumerate(seq)}
-        subsets.sort(key=lambda subset: sum(weight[a] for a in subset))
-    bins = [bisect_right(th.eta, sum(subset)) - 1 for subset in subsets]
-    for i in range(1, len(subsets)):
-        if bins[i] > bins[i - 1]:
+        order = sorted(order, key=lambda i: sum(weight[a] for a in subsets[i]))
+    elif kind == QUANTIZED_BH:
+        order = sorted(order, key=bins.__getitem__)
+    for i, j in zip(order, order[1:]):
+        if bins[j] > bins[i]:
             continue
-        lo, hi = subsets[i - 1], subsets[i]
+        lo, hi = subsets[i], subsets[j]
+        if kind == QUANTIZED_BH:
+            return f"subsets {_fmt(lo)} and {_fmt(hi)} share quantization bin {bins[i]}"
         if kind == SQLO_S:
             if set(lo) < set(hi):
                 return f"nested subsets: f({_fmt(hi)}) <= f({_fmt(lo)})"
@@ -195,36 +192,11 @@ def _check_sqlo(seq, th, h, kind) -> str | None:
     return None
 
 
-def _check_sqlo_s_via_bh(seq, th, h) -> str | None:
-    """Equivalent route: quantized B_h plus bin-level superincreasing."""
-    violation = _check_quantized_bh(seq, th, h)
-    if violation:
-        return violation
-    for i in range(len(seq)):
-        bin_i = quantize(th, seq[i])
-        for subset in _subsets_up_to(seq[:i], h):
-            if sum(subset) >= th.top:
-                return f"prefix sum {_fmt(subset)} >= top threshold"
-            if bin_i <= quantize(th, sum(subset)):
-                return (
-                    f"element {seq[i]} does not dominate prefix subset "
-                    f"{_fmt(subset)} at the bin level"
-                )
-    return None
-
-
 def check_sequence(seq, th: Thresholds, h: int, kind: str) -> CheckReport:
     """Verify the defining property of the given kind over every subset of
-    at most h elements.
-
-    The SQLO kinds are checked in one sorted pass over the subsets (their
-    orders are total); SQLO_s takes the direct definitional route only, and
-    the equivalent "quantized B_h + superincreasing in bins" route is kept
-    as a reference for the tests.
-    """
-    seq = tuple(int(v) for v in seq)
-    if not seq:
-        raise InvalidInput("empty sequence")
+    at most h elements: the counting bound, then one sorted pass over the
+    subsets (_order_violation)."""
+    seq = _validated(seq)
     if kind not in KINDS:
         raise InvalidInput(f"unknown kind {kind!r}")
     if h < 1:
@@ -233,31 +205,15 @@ def check_sequence(seq, th: Thresholds, h: int, kind: str) -> CheckReport:
         raise InvalidInput(
             f"K={len(seq)} exceeds the exhaustive-check limit {MAX_EXHAUSTIVE_K}"
         )
-    for a, b in zip(seq, seq[1:]):
-        if b <= a:
-            raise InvalidInput(f"sequence not strictly increasing at {a} -> {b}")
-    if any(v < 1 for v in seq):
-        raise InvalidInput("sequence elements must be positive")
-
-    infeasible = _cardinality_feasible(len(seq), h, th.Q)
-    if infeasible:
-        return CheckReport(False, infeasible)
-
-    if kind == QUANTIZED_BH:
-        violation = _check_quantized_bh(seq, th, h)
-    else:
-        violation = _check_sqlo(seq, th, h, kind)
+    violation = _cardinality_feasible(len(seq), h, th.Q) or _order_violation(
+        seq, th, h, kind
+    )
     return CheckReport(violation is None, violation)
 
 
 def verified_sequence(values, th: Thresholds, h: int, kind: str) -> MultiplierSequence:
     """Construct a MultiplierSequence, raising if the kind check fails."""
-    report = check_sequence(values, th, h, kind)
-    if not report.passed:
-        raise InvalidInput(
-            f"sequence {list(values)} is not {kind} for h={h}: {report.first_violation}"
-        )
-    return MultiplierSequence(tuple(int(v) for v in values), kind, h, th)
+    return MultiplierSequence(values, kind, h, th)
 
 
 def greedy_generate(
@@ -298,39 +254,18 @@ def greedy_generate(
 
 
 def check_base(seq, family: str, h: int) -> bool:
-    """Exhaustive verification of the base-family property."""
-    seq = tuple(int(v) for v in seq)
-    if not seq:
-        raise InvalidInput("empty sequence")
+    """Exhaustive verification of the base-family property: the order of
+    the kind the family scales to, on the identity quantizer."""
+    seq = _validated(seq)
     if family not in FAMILIES:
         raise InvalidInput(f"unknown family {family!r}")
-    for a, b in zip(seq, seq[1:]):
-        if b <= a:
-            raise InvalidInput(f"sequence not strictly increasing at {a} -> {b}")
-    if any(v < 1 for v in seq):
-        raise InvalidInput("sequence elements must be positive")
-
     if family == H_SUPERINCREASING:
+        # What the SQLO_s pass reduces to on the identity quantizer, in O(K):
+        # no subset of C(K, <= h) need be listed.
         return all(
             seq[j] > sum(seq[max(0, j - h) : j]) for j in range(1, len(seq))
         )
-    if family == SUBSET_SUM_DISTINCT:
-        sums = [sum(s) for s in _subsets_up_to(seq, h)]
-        return len(sums) == len(set(sums))
-    # strong-lex(h): lex(s) for every s <= h, plus cardinality ordering.
-    for s in range(2, min(h, len(seq)) + 1):
-        for s1, s2 in combinations(combinations(seq, s), 2):
-            r = next(i for i in range(s) if s1[i] != s2[i])
-            hi, lo = (s2, s1) if s2[r] > s1[r] else (s1, s2)
-            if sum(hi) <= sum(lo):
-                return False
-    subsets = _subsets_up_to(seq, h)
-    for s1, s2 in combinations(subsets, 2):
-        if len(s1) != len(s2):
-            lo, hi = (s1, s2) if len(s1) < len(s2) else (s2, s1)
-            if sum(hi) <= sum(lo):
-                return False
-    return True
+    return _order_violation(seq, None, h, FAMILY_TO_KIND[family]) is None
 
 
 def greedy_generate_base(
@@ -546,10 +481,3 @@ def knapsack_solve(
             need -= 1
     return frozenset(chosen) if total >= lo else None
 
-
-def brute_force_subset_sum(values, d: int, beta: int) -> frozenset[int] | None:
-    """Enumeration oracle for knapsack_solve; independent of it."""
-    for subset in _subsets_up_to(tuple(values), d):
-        if sum(subset) == beta:
-            return frozenset(subset)
-    return None

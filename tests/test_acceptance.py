@@ -22,7 +22,6 @@ from sqgt import (
     STRONG_LEX,
     Thresholds,
     base_recursive_superincreasing,
-    brute_force_subset_sum,
     build,
     check_base,
     check_sequence,
@@ -46,7 +45,9 @@ from sqgt import (
     verified_sequence,
     verify_sq_separable,
 )
-from sqgt.sequences import _check_sqlo, _check_sqlo_s_via_bh
+from sqgt.sequences import _order_violation as _check_sqlo
+
+from oracles import brute_force_subset_sum, check_sqlo_s_via_bh as _check_sqlo_s_via_bh
 
 
 def _bench_code(K: int, kind: str, d: int):

@@ -6,10 +6,12 @@ from sqgt import (
     InvalidInput,
     build,
     identity_code,
+    replicated_identity,
     simulate_campaign,
     uniform_thresholds,
     verified_sequence,
 )
+from sqgt import campaign
 from sqgt.campaign import EXHAUSTIVE, SEEDED_RANDOM
 
 
@@ -59,6 +61,27 @@ def test_seeded_random_policy(code_corpus):
     assert a.failures == b.failures == 0
     with pytest.raises(InvalidInput, match="unknown error policy"):
         simulate_campaign(code, policy="nope")
+    for samples in (0, -3):
+        with pytest.raises(InvalidInput, match="samples_per_set must be >= 1"):
+            simulate_campaign(code, policy=SEEDED_RANDOM, samples_per_set=samples)
+
+
+def test_seeded_campaign_draws_each_set_afresh(monkeypatch):
+    th = uniform_thresholds(3, 15)
+    code = build(replicated_identity(3, 3), verified_sequence([3, 6], th, 2, QUANTIZED_BH), th, 2)
+    drawn = {}
+    real = campaign.inject_random
+
+    def recording(clean, e, Q, seed, count):
+        outcomes = list(real(clean, e, Q, seed, count))
+        drawn[seed] = tuple(o.error_positions for o in outcomes)
+        return iter(outcomes)
+
+    monkeypatch.setattr(campaign, "inject_random", recording)
+    simulate_campaign(code, policy=SEEDED_RANDOM, seed=3, samples_per_set=6)
+    # one stream per defective set, keyed by (seed, set index)
+    assert sorted(drawn) == [(3, i) for i in range(21)]
+    assert len(set(drawn.values())) == len(drawn)
 
 
 def test_workers_agree_with_serial(code_corpus):

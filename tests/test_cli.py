@@ -256,7 +256,10 @@ def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):
     ("errors", {"samples": "4"}, "'errors.samples' must be int"),
     ("seed", None, "'seed' must be int"),
     ("budget", "5", "'budget' must be int"),
-], ids=["errors-list", "e-string", "e-bool", "policy-int", "samples-string", "seed-null", "budget-string"])
+    ("errors", {"policy": "seeded-random", "samples": 0}, "'errors.samples' must be >= 1"),
+    ("errors", {"policy": "seeded-random", "samples": -3}, "'errors.samples' must be >= 1"),
+], ids=["errors-list", "e-string", "e-bool", "policy-int", "samples-string", "seed-null",
+        "budget-string", "samples-zero", "samples-negative"])
 def test_simulate_rejects_mistyped_campaign_keys(capsys, tmp_path, edit_json, key, value, message):
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, key, value=value)

@@ -11,6 +11,7 @@ from sqgt import (
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
+    MultiplierSequence,
     OutOfRange,
     ParameterError,
     QUANTIZED_BH,
@@ -118,6 +119,14 @@ def test_build_revalidates_other_thresholds(th_step3_tall, th_gaps):
     seq = verified_sequence([3, 6, 12], th_step3_tall, 2, QUANTIZED_BH)
     with pytest.raises(ParameterError):
         build(identity_code(3), seq, th_gaps, 2, "permissive")
+
+
+def test_build_cannot_take_an_unverified_sequence(th_step3):
+    # 3 and 4 share bin 1: built on identity_code(4) with d = 1, 4 of the 8
+    # clean single-defective cases decoded to the wrong column
+    with pytest.raises(InvalidInput, match="share quantization bin 1"):
+        seq = MultiplierSequence((3, 4), QUANTIZED_BH, 1, th_step3)
+        build(identity_code(4), seq, th_step3, 1)
 
 
 def test_verify_sq_separable_positive(code_corpus):

@@ -22,7 +22,6 @@ from sqgt import (
     Thresholds,
     UnsupportedKind,
     base_recursive_superincreasing,
-    brute_force_subset_sum,
     check_base,
     check_sequence,
     gamma_bound,
@@ -37,7 +36,9 @@ from sqgt import (
     verified_sequence,
 )
 from sqgt import sequences
-from sqgt.sequences import KINDS, _check_sqlo, _check_sqlo_s_via_bh
+from sqgt.sequences import FAMILIES, FAMILY_TO_KIND, KINDS, _order_violation
+
+from oracles import brute_force_subset_sum, check_sqlo_s_via_bh
 
 
 # --- the pairwise definitions, the oracle for check_sequence ---
@@ -185,8 +186,8 @@ def test_sqlo_s_routes_agree(values, gaps, h):
         eta.append(eta[-1] + g)
     th = Thresholds(tuple(eta))
     seq = tuple(sorted(values))
-    direct = _check_sqlo(seq, th, h, SQLO_S)
-    via_bh = _check_sqlo_s_via_bh(seq, th, h)
+    direct = _order_violation(seq, th, h, SQLO_S)
+    via_bh = check_sqlo_s_via_bh(seq, th, h)
     assert (direct is None) == (via_bh is None), (seq, eta, h, direct, via_bh)
 
 
@@ -337,6 +338,32 @@ def test_greedy_base_generators():
     assert sup.values == (1, 2, 4, 7, 12, 20)
 
 
+@given(
+    st.lists(st.integers(1, 40), min_size=1, max_size=7, unique=True),
+    st.integers(1, 4),
+    st.sampled_from(FAMILIES),
+)
+@example([1, 2, 4, 7, 8], 2, H_SUPERINCREASING)  # 8 > 4 + 7 fails
+@example([2, 3, 4], 2, STRONG_LEX)
+@settings(max_examples=400, deadline=None)
+def test_check_base_matches_pairwise_oracle(values, h, family):
+    # On unit thresholds above every sum of <= h elements each family is the
+    # kind it scales to.
+    values = tuple(sorted(values))
+    eta = unit_thresholds(sum(values[-h:]) + 1).eta
+    got = check_base(values, family, h)
+    assert got == pairwise_oracle(values, eta, h, FAMILY_TO_KIND[family]), (values, h, family)
+
+
+def test_bases_of_the_benchmark_are_pinned():
+    # h = 2, K = 4, as the decode-wide-bins workload builds them
+    assert greedy_generate_base(SUBSET_SUM_DISTINCT, 2, 4).values == (1, 2, 4, 7)
+    assert base_recursive_superincreasing(2, 4).values == (1, 2, 4, 7)
+    assert strong_lex_base(4).values == (4, 6, 7, 8)
+    assert greedy_generate_base(STRONG_LEX, 2, 4).values == (1, 2)
+    assert greedy_generate_base(H_SUPERINCREASING, 2, 4).values == (1, 2, 4, 7)
+
+
 def test_strong_lex_base_construction():
     assert strong_lex_base(1).values == (1,)
     assert strong_lex_base(3).values == (2, 3, 4)
@@ -415,8 +442,8 @@ def test_subset_sums_table(th_step3_tall):
 
 
 def test_subset_sums_detects_corruption():
-    # bypass verification: 1 + 2 = 3 duplicates the singleton 3
-    seq = MultiplierSequence((1, 2, 3), QUANTIZED_BH, 2, unit_thresholds(10))
+    # verified for h = 1 only, so 1 + 2 = 3 duplicates the singleton 3 at d = 2
+    seq = MultiplierSequence((1, 2, 3), QUANTIZED_BH, 1, unit_thresholds(10))
     with pytest.raises(CorruptSequence):
         subset_sums(seq, 2)
 
