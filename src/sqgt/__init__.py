@@ -6,7 +6,6 @@ from .channel import (
     inject_exhaustive,
     inject_explicit,
     inject_random,
-    support_signature,
     syndrome,
 )
 from .codebook import (
@@ -25,7 +24,6 @@ from .campaign import CampaignSummary, simulate_campaign
 from .decoders import (
     DecodedResult,
     decode,
-    oracle_decode,
     recover_support,
     select_witness_coords,
 )
@@ -55,7 +53,6 @@ from .errors import (
 )
 from .quantization import (
     Thresholds,
-    bin_bounds,
     quantize,
     uniform_thresholds,
     unit_thresholds,
@@ -67,7 +64,6 @@ from .sequences import (
     SQLO_S,
     STRONG_LEX,
     SUBSET_SUM_DISTINCT,
-    BaseSequence,
     MultiplierSequence,
     base_recursive_superincreasing,
     check_base,

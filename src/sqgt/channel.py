@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import InvalidInput, OutOfRange
+from .errors import InvalidBin, InvalidInput, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,15 @@ def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
     return TestOutcome(tuple(int(v) for v in y), clean=True)
 
 
-def support_signature(vectors: Iterable[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Set of distinct binary supports underlying the given codewords."""
-    return {tuple(1 if v else 0 for v in vec) for vec in vectors}
+def bin_value(v) -> int:
+    """v as an int; InvalidBin when it is a bool or no integer at all, which
+    int() would read as 1 or truncate to a wrong bin."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InvalidBin(f"result value {v!r} is not an integer")
 
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
@@ -58,6 +65,7 @@ def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q:
     y = list(outcome.y)
     positions = []
     for pos, val in changes:
+        val = bin_value(val)
         if not 0 <= pos < len(y):
             raise InvalidInput(f"error position {pos} outside [0, {len(y)})")
         if not 0 <= val < Q:

@@ -64,13 +64,8 @@ def cmd_seq_check(args) -> int:
 
 
 def cmd_base_gen(args) -> int:
-    if args.family == sequences.H_SUPERINCREASING and not args.greedy:
-        base = sequences.base_recursive_superincreasing(args.h, args.K)
-    else:
-        base = sequences.greedy_generate_base(
-            args.family, args.h, args.K, start=args.start
-        )
-    payload = {"family": base.family, "h": base.h, "values": list(base.values)}
+    base = sequences.greedy_generate_base(args.family, args.h, args.K)
+    payload = {"family": args.family, "h": base.h, "values": list(base.values)}
     _emit(payload, args.json, " ".join(str(v) for v in base.values))
     return 0
 
@@ -212,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=sequences.FAMILIES, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--K", type=int, required=True)
-    p.add_argument("--start", type=int, default=1)
-    p.add_argument("--greedy", action="store_true")
     p.set_defaults(func=cmd_base_gen)
     p = base.add_parser("verify")
     p.add_argument("--family", choices=sequences.FAMILIES, required=True)

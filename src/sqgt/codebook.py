@@ -97,12 +97,6 @@ class SqgtCode:
             subset_in_bin={quantize(self.thresholds, total): s for total, s in table},
         )
 
-    def column_block(self, col: int) -> tuple[int, int]:
-        """Map a column index to (multiplier index j, base column i)."""
-        if not 0 <= col < self.n:
-            raise InvalidInput(f"column {col} outside [0, {self.n})")
-        return col // self.base_n, col % self.base_n
-
 
 def pair_sequence(th: Thresholds) -> MultiplierSequence:
     """The two-multiplier sequence {eta_1, max(eta_2, eta_3 - eta_1)}."""
@@ -346,9 +340,8 @@ def _base_from_spec(spec: str, d: int | None, e: int | None) -> BinaryDisjunctCo
 
 
 def _base_from_config(block: dict) -> BinaryDisjunctCode:
-    """A base from its spec, or an inline one.  An inline base must be
-    binary, and its e at most (w-1)//2 for its smallest column weight w:
-    necessary for correcting e errors, not a proof of it."""
+    """A base from its spec, or an inline one: a binary matrix whose claimed
+    d and e user_code verifies, as it does for a file: base."""
     inline = "matrix" in block
     required = _REQUIRED if inline else None
     d, e = (_field(block, key, (int,), "base.", required) for key in ("d", "e"))
@@ -359,16 +352,10 @@ def _base_from_config(block: dict) -> BinaryDisjunctCode:
     except ValueError:  # rows of unequal length
         matrix = np.array(())
     if matrix.ndim != 2 or 0 in matrix.shape or matrix.dtype.kind != "i" or (
-        not np.isin(matrix, (0, 1)).all()
+        not ((matrix == 0) | (matrix == 1)).all()
     ):
         raise InvalidInput("key 'base.matrix' must be a non-empty binary matrix")
-    weight = int(matrix.sum(axis=0).min())
-    if not 0 <= e <= (weight - 1) // 2:
-        raise InvalidInput(
-            f"base e={e} is negative or exceeds (w-1)//2={(weight - 1) // 2} for "
-            f"the smallest base column weight w={weight}"
-        )
-    return BinaryDisjunctCode(matrix, d=d, e=e, provenance="user-supplied")
+    return user_code(matrix, d, e)
 
 
 def code_from_config(cfg: dict) -> SqgtCode:

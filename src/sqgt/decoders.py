@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TestOutcome
+from .channel import TestOutcome, bin_value
 from .codebook import SqgtCode
 from .errors import DecodingFailure, InvalidBase, InvalidBin, InvalidInput
 from .sequences import QUANTIZED_BH, knapsack_solve
@@ -55,11 +55,15 @@ def select_witness_coords(y, support: Sequence[int], e: int) -> list[int]:
 
 
 def _y_values(y) -> tuple[int, ...]:
+    """y as a tuple of ints; InvalidBin names an entry that is a bool or no
+    integer."""
     if isinstance(y, TestOutcome):
         return y.y
-    if isinstance(y, tuple):
-        return y
-    return tuple(int(v) for v in y)
+    values = tuple(y)
+    for v in values:
+        if type(v) is not int:  # a numpy integer, or no integer at all
+            return tuple(map(bin_value, values))
+    return values
 
 
 def _result_values(y, code: SqgtCode) -> tuple[int, ...]:
@@ -85,7 +89,8 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     """Recover the supports, then each support's multiplier subset from the
     majority bin of its 2e+1 witness coordinates."""
     yv = _result_values(y, code)
-    supports = recover_support(yv, code.base.matrix, code.e)
+    # The helpers get y as given: a TestOutcome's values need no second check.
+    supports = recover_support(y, code.base.matrix, code.e)
     if not supports:
         return _empty_result()
     plan = code.plan
@@ -94,7 +99,7 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        witnesses = select_witness_coords(yv, plan.coords[i], e)
+        witnesses = select_witness_coords(y, plan.coords[i], e)
         # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
         # is the middle one's.  Each kind puts at most one subset sum in it:
         # quantized B_d codes look it up, the SQLO kinds find it with one
@@ -119,30 +124,3 @@ def decode(y, code: SqgtCode) -> DecodedResult:
         defectives |= _columns_for(code, i, multipliers)
     return DecodedResult(frozenset(defectives), tuple(per_support))
 
-
-def oracle_decode(y, code: SqgtCode) -> frozenset[int]:
-    """Exhaustive maximum-agreement search over all candidate defective
-    sets of size <= d; the independent reference for every decoder."""
-    from itertools import combinations
-
-    from .channel import syndrome
-    from .errors import OutOfRange
-
-    yv = np.asarray(_y_values(y))
-    best: tuple[int, frozenset[int]] | None = None
-    tied = False
-    for size in range(1, code.d + 1):
-        for subset in combinations(range(code.n), size):
-            try:
-                s = syndrome(code, subset)
-            except OutOfRange:
-                continue
-            agree = int((np.asarray(s.y) == yv).sum())
-            if best is None or agree > best[0]:
-                best = (agree, frozenset(subset))
-                tied = False
-            elif agree == best[0]:
-                tied = True
-    if best is None or best[0] < code.m - code.e or tied:
-        raise DecodingFailure("no unique candidate set within the error budget")
-    return best[1]

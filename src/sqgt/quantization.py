@@ -13,7 +13,7 @@ import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidBin, InvalidInput, OutOfRange
+from .errors import InvalidInput, OutOfRange
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class Thresholds:
 
     def __post_init__(self):
         eta = tuple(self.eta)
-        bad = [v for v in eta if not hasattr(type(v), "__index__")]
+        bad = [v for v in eta if isinstance(v, bool) or not hasattr(type(v), "__index__")]
         if bad:
             raise InvalidInput(f"threshold {bad[0]!r} is not an integer")
         eta = tuple(map(operator.index, eta))
@@ -85,23 +85,6 @@ def quantize(th: Thresholds, alpha: int) -> int:
             "the model requires all sums to stay below it"
         )
     return bisect_right(th.eta, alpha) - 1
-
-
-def bin_bounds(th: Thresholds, r: int) -> tuple[int, int]:
-    """Lower (inclusive) and upper (exclusive) thresholds of bin r."""
-    if not 0 <= r < th.Q:
-        raise InvalidBin(f"bin index {r} outside [0, {th.Q})")
-    return th.eta[r], th.eta[r + 1]
-
-
-def quantize_linear_scan(th: Thresholds, alpha: int) -> int:
-    """Linear-scan reference for quantize; kept as the test oracle."""
-    if alpha < 0 or alpha >= th.top:
-        raise OutOfRange(f"value {alpha} outside [0, {th.top})")
-    for r in range(th.Q):
-        if th.eta[r] <= alpha < th.eta[r + 1]:
-            return r
-    raise AssertionError("unreachable")
 
 
 def unit_thresholds(top: int) -> Thresholds:

@@ -15,9 +15,10 @@ small subsets must be ordered:
 Each order is a total order on the subsets of <= h elements (quantized
 B_h ranks them by bin), so one checker decides every kind: it computes the
 bin of every subset sum once, sorts the subsets by the kind's order and
-compares neighbours.  On the identity quantizer (bin = sum) the kinds are
-the classical base families: subset-sum-distinct, h-superincreasing and
-strong-lex sequences.  The checker is the correctness anchor for every
+compares neighbours.  On the identity quantizer (bin = sum, thresholds
+None) the kinds are the classical base families: subset-sum-distinct,
+h-superincreasing and strong-lex sequences, so a base is a sequence on
+no thresholds.  The checker is the correctness anchor for every
 construction in the package.
 """
 
@@ -47,7 +48,8 @@ H_SUPERINCREASING = "h-superincreasing"
 STRONG_LEX = "strong-lex"
 FAMILIES = (SUBSET_SUM_DISTINCT, H_SUPERINCREASING, STRONG_LEX)
 
-# Kind produced by the scaled construction for each base family.
+# The kind each base family is on the identity quantizer, and the kind the
+# scaled construction turns it into.
 FAMILY_TO_KIND = {
     SUBSET_SUM_DISTINCT: QUANTIZED_BH,
     H_SUPERINCREASING: SQLO_S,
@@ -69,12 +71,13 @@ class CheckReport:
 @dataclass(frozen=True)
 class MultiplierSequence:
     """A sequence verified against its thresholds for the given kind; the
-    constructor runs the kind check and raises InvalidInput if it fails."""
+    constructor runs the kind check and raises InvalidInput if it fails.
+    Thresholds None is the identity quantizer: a base sequence."""
 
     values: tuple[int, ...]
     kind: str
     h: int
-    thresholds: Thresholds
+    thresholds: Thresholds | None
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(int(v) for v in self.values))
@@ -95,18 +98,9 @@ class MultiplierSequence:
                 "kind": self.kind,
                 "h": self.h,
                 "values": list(self.values),
-                "thresholds": list(self.thresholds.eta),
+                "thresholds": self.thresholds and list(self.thresholds.eta),
             }
         )
-
-
-@dataclass(frozen=True)
-class BaseSequence:
-    """Integer base sequence feeding the scaled constructions."""
-
-    values: tuple[int, ...]
-    family: str
-    h: int
 
 
 def _subsets_up_to(values, h):
@@ -192,36 +186,66 @@ def _order_violation(seq, th: Thresholds | None, h: int, kind: str) -> str | Non
     return None
 
 
-def check_sequence(seq, th: Thresholds, h: int, kind: str) -> CheckReport:
+def _window_violation(seq, h: int) -> str | None:
+    """The SQLO_s order on the identity quantizer, in one pass over the
+    elements: each must exceed the sum of the h before it, the largest sum
+    of at most h smaller ones, so no subset of C(K, <= h) need be listed."""
+    for j in range(1, len(seq)):
+        window = seq[max(0, j - h) : j]
+        if seq[j] <= sum(window):
+            return f"element {seq[j]} <= {sum(window)}, the sum of {_fmt(window)}"
+    return None
+
+
+def check_sequence(seq, th: Thresholds | None, h: int, kind: str) -> CheckReport:
     """Verify the defining property of the given kind over every subset of
     at most h elements: the counting bound, then one sorted pass over the
-    subsets (_order_violation)."""
+    subsets (_order_violation).  On the identity quantizer (th None) there
+    are no bins to count and no limit on K, and SQLO_s is the window test
+    (_window_violation)."""
     seq = _validated(seq)
     if kind not in KINDS:
         raise InvalidInput(f"unknown kind {kind!r}")
     if h < 1:
         raise InvalidInput(f"h must be >= 1, got {h}")
-    if len(seq) > MAX_EXHAUSTIVE_K:
+    if th is None:
+        if kind == SQLO_S:
+            violation = _window_violation(seq, h)
+        else:
+            violation = _order_violation(seq, None, h, kind)
+    elif len(seq) > MAX_EXHAUSTIVE_K:
         raise InvalidInput(
             f"K={len(seq)} exceeds the exhaustive-check limit {MAX_EXHAUSTIVE_K}"
         )
-    violation = _cardinality_feasible(len(seq), h, th.Q) or _order_violation(
-        seq, th, h, kind
-    )
+    else:
+        violation = _cardinality_feasible(len(seq), h, th.Q) or _order_violation(
+            seq, th, h, kind
+        )
     return CheckReport(violation is None, violation)
 
 
-def verified_sequence(values, th: Thresholds, h: int, kind: str) -> MultiplierSequence:
+def verified_sequence(
+    values, th: Thresholds | None, h: int, kind: str
+) -> MultiplierSequence:
     """Construct a MultiplierSequence, raising if the kind check fails."""
     return MultiplierSequence(values, kind, h, th)
 
 
+def _bin_start(th: Thresholds | None, x: int, above: int = 0) -> int:
+    """The lowest integer of the bin `above` bins over the bin of x; x + above
+    on the identity quantizer."""
+    if th is None:
+        return x + above
+    return th.eta[bisect_right(th.eta, x) - 1 + above]
+
+
 def greedy_generate(
-    th: Thresholds, h: int, K_target: int, kind: str
+    th: Thresholds | None, h: int, K_target: int, kind: str
 ) -> MultiplierSequence:
     """Greedy search: start at eta_1, extend with the smallest integer that
     keeps the prefix valid, stop at K_target elements or when no integer
-    below the top threshold extends it.
+    below the top threshold extends it.  On the identity quantizer (th
+    None) the search starts at 1 and has no top.
 
     Candidates that must fail are skipped.  Every kind puts the new element
     in a higher bin than the last one; SQLO_s also above the bin of the sum
@@ -230,74 +254,47 @@ def greedy_generate(
     """
     if K_target < 1:
         raise InvalidInput(f"K_target must be >= 1, got {K_target}")
-    first = th.eta[1]
+    first = 1 if th is None else th.eta[1]
     if not check_sequence([first], th, h, kind).passed:
         raise InfeasibleThresholds(
             f"even the single-element sequence [{first}] fails the {kind} check"
         )
-    eta = th.eta
     prefix = [first]
     while len(prefix) < K_target:
         # prefix sums of <= h elements lie below the top, so both bins exist
         floor = sum(prefix[-h:]) if kind == SQLO_S else prefix[-1]
-        start = eta[bisect_right(eta, floor)]
-        stop = th.top
+        candidate = _bin_start(th, floor, 1)
+        stop = math.inf if th is None else th.top
         if kind == SQLO_L and h >= 2 and len(prefix) >= 2:
-            stop = eta[bisect_right(eta, prefix[0] + prefix[1]) - 1]
-        for candidate in range(start, stop):
-            if check_sequence(prefix + [candidate], th, h, kind).passed:
-                prefix.append(candidate)
-                break
-        else:
+            stop = _bin_start(th, prefix[0] + prefix[1])
+        while candidate < stop and not check_sequence(
+            prefix + [candidate], th, h, kind
+        ).passed:
+            candidate += 1
+        if candidate >= stop:
             break
+        prefix.append(candidate)
     return verified_sequence(prefix, th, h, kind)
 
 
 def check_base(seq, family: str, h: int) -> bool:
     """Exhaustive verification of the base-family property: the order of
     the kind the family scales to, on the identity quantizer."""
-    seq = _validated(seq)
     if family not in FAMILIES:
         raise InvalidInput(f"unknown family {family!r}")
-    if family == H_SUPERINCREASING:
-        # What the SQLO_s pass reduces to on the identity quantizer, in O(K):
-        # no subset of C(K, <= h) need be listed.
-        return all(
-            seq[j] > sum(seq[max(0, j - h) : j]) for j in range(1, len(seq))
-        )
-    return _order_violation(seq, None, h, FAMILY_TO_KIND[family]) is None
+    return check_sequence(seq, None, h, FAMILY_TO_KIND[family]).passed
 
 
-def greedy_generate_base(
-    family: str, h: int, K_target: int, start: int = 1
-) -> BaseSequence:
-    """Greedy base generator: smallest next integer keeping the family
-    property.  May return fewer than K_target elements when the prefix
-    cannot be extended (strong-lex prefixes bound later elements)."""
-    if K_target < 1:
-        raise InvalidInput(f"K_target must be >= 1, got {K_target}")
-    if start < 1:
-        raise InvalidInput(f"start must be >= 1, got {start}")
-    prefix = [start]
-    while len(prefix) < K_target:
-        candidate = prefix[-1] + 1
-        # Any valid extension is below the sum of the smallest h+1 elements
-        # plus slack; 1 + sum of current prefix is a safe cap for all
-        # three families.
-        cap = 1 + sum(prefix[-h - 1 :]) + prefix[-1]
-        while candidate <= cap:
-            if check_base(prefix + [candidate], family, h):
-                prefix.append(candidate)
-                break
-            candidate += 1
-        else:
-            break
-    if not check_base(prefix, family, h):
-        raise AssertionError(f"greedy base prefix {prefix} fails its own check")
-    return BaseSequence(tuple(prefix), family, h)
+def greedy_generate_base(family: str, h: int, K_target: int) -> MultiplierSequence:
+    """The greedy search on the identity quantizer for the family's kind.
+    May return fewer than K_target elements when the prefix cannot be
+    extended (strong-lex prefixes bound later elements)."""
+    if family not in FAMILIES:
+        raise InvalidInput(f"unknown family {family!r}")
+    return greedy_generate(None, h, K_target, FAMILY_TO_KIND[family])
 
 
-def strong_lex_base(K: int) -> BaseSequence:
+def strong_lex_base(K: int) -> MultiplierSequence:
     """Direct strong-lex(2) construction for arbitrary K.
 
     The pair-sum lexicographic ordering holds iff each gap exceeds the
@@ -308,7 +305,7 @@ def strong_lex_base(K: int) -> BaseSequence:
     if K < 1:
         raise InvalidInput(f"K must be >= 1, got {K}")
     if K == 1:
-        return BaseSequence((1,), STRONG_LEX, 2)
+        return MultiplierSequence((1,), SQLO_L, 2, None)
     gaps_rtl = []
     for k in range(1, K):
         gaps_rtl.append(1 + sum(gaps_rtl[: k - 2]))
@@ -316,42 +313,27 @@ def strong_lex_base(K: int) -> BaseSequence:
     values = [total]
     for r in reversed(gaps_rtl):
         values.append(values[-1] + r)
-    seq = BaseSequence(tuple(values), STRONG_LEX, 2)
-    if not check_base(seq.values, STRONG_LEX, 2):
-        raise AssertionError(f"gap construction {values} is not strong-lex(2)")
-    return seq
+    return MultiplierSequence(tuple(values), SQLO_L, 2, None)
 
 
-def base_recursive_superincreasing(h: int, K: int) -> BaseSequence:
+def base_recursive_superincreasing(h: int, K: int) -> MultiplierSequence:
     """Doubling start, then each element is 1 plus the sum of its h
-    predecessors; the densest h-superincreasing construction used here."""
-    if h < 1 or K < 1:
-        raise InvalidInput("h and K must be >= 1")
-    values: list[int] = []
-    for i in range(1, K + 1):
-        if i <= h:
-            values.append(2 ** (i - 1))
-        else:
-            values.append(1 + sum(values[i - 1 - h : i - 1]))
-    seq = BaseSequence(tuple(values), H_SUPERINCREASING, h)
-    if not check_base(seq.values, H_SUPERINCREASING, h):
-        raise AssertionError(f"recursive construction {values} is not h-superincreasing")
-    return seq
+    predecessors: the greedy h-superincreasing base, the densest one."""
+    return greedy_generate_base(H_SUPERINCREASING, h, K)
 
 
 def scaled_construction(
-    base: BaseSequence, th: Thresholds, h: int, s: int
+    base: MultiplierSequence, th: Thresholds, h: int, s: int
 ) -> MultiplierSequence:
     """Scale a base sequence by the largest gap of the first s thresholds.
 
     K_s is the largest prefix length whose h-window sum, scaled, stays
-    below eta_s; the result is verified against its target kind.
+    below eta_s; the result is verified against the base's kind.
     """
     if not 2 <= s <= th.Q:
         raise InvalidInput(f"s must be in [2, {th.Q}], got {s}")
     if base.h < h:
         raise InvalidInput(f"base built for h={base.h} < requested h={h}")
-    kind = FAMILY_TO_KIND[base.family]
     g_s = th.max_gap(s)
     eta_s = th.eta[s]
 
@@ -368,7 +350,7 @@ def scaled_construction(
             "no scaled sequence fits"
         )
     values = tuple(g_s * b for b in base.values[:K_s])
-    return verified_sequence(values, th, h, kind)
+    return verified_sequence(values, th, h, base.kind)
 
 
 def gamma_bound(h: int) -> float:

@@ -1,9 +1,20 @@
 """Reference routes the tests compare the package against; none of them
-shares code with the routes it checks."""
+shares code with the routes it checks, except that the base scan tries
+its candidates with check_base, which is itself checked against the
+pairwise definitions."""
 
 from itertools import combinations
 
-from sqgt import quantize
+import numpy as np
+
+from sqgt import (
+    DecodingFailure,
+    OutOfRange,
+    TestOutcome,
+    check_base,
+    quantize,
+    syndrome,
+)
 
 
 def _subsets_up_to(values, h):
@@ -40,3 +51,66 @@ def check_sqlo_s_via_bh(seq, th, h) -> str | None:
                     f"{subset} at the bin level"
                 )
     return None
+
+
+def quantize_linear_scan(th, alpha: int) -> int:
+    """Linear-scan reference for quantize."""
+    if alpha < 0 or alpha >= th.top:
+        raise OutOfRange(f"value {alpha} outside [0, {th.top})")
+    for r in range(th.Q):
+        if th.eta[r] <= alpha < th.eta[r + 1]:
+            return r
+    raise AssertionError("unreachable")
+
+
+def support_signature(vectors) -> set[tuple[int, ...]]:
+    """Set of distinct binary supports underlying the given codewords."""
+    return {tuple(1 if v else 0 for v in vec) for vec in vectors}
+
+
+def oracle_decode(y, code) -> frozenset[int]:
+    """Exhaustive maximum-agreement search over all candidate defective
+    sets of size <= d; the independent reference for the decoder."""
+    yv = np.asarray(y.y if isinstance(y, TestOutcome) else y)
+    best: tuple[int, frozenset[int]] | None = None
+    tied = False
+    for size in range(1, code.d + 1):
+        for subset in combinations(range(code.n), size):
+            try:
+                s = syndrome(code, subset)
+            except OutOfRange:
+                continue
+            agree = int((np.asarray(s.y) == yv).sum())
+            if best is None or agree > best[0]:
+                best = (agree, frozenset(subset))
+                tied = False
+            elif agree == best[0]:
+                tied = True
+    if best is None or best[0] < code.m - code.e or tied:
+        raise DecodingFailure("no unique candidate set within the error budget")
+    return best[1]
+
+
+def scan_base(family: str, h: int, K_target: int) -> tuple[int, ...]:
+    """Smallest-integer scan for a base: from 1, each next element is the
+    smallest integer passing check_base, tried up to a cap above every
+    valid extension; stops early when none passes."""
+    prefix = [1]
+    while len(prefix) < K_target:
+        cap = 1 + sum(prefix[-h - 1 :]) + prefix[-1]
+        for candidate in range(prefix[-1] + 1, cap + 1):
+            if check_base(prefix + [candidate], family, h):
+                prefix.append(candidate)
+                break
+        else:
+            break
+    return tuple(prefix)
+
+
+def recursive_superincreasing(h: int, K: int) -> tuple[int, ...]:
+    """Closed-form h-superincreasing base: powers of two for the first h
+    elements, then each element is 1 plus the sum of its h predecessors."""
+    values: list[int] = []
+    for i in range(K):
+        values.append(2**i if i < h else 1 + sum(values[i - h : i]))
+    return tuple(values)

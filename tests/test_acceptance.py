@@ -38,7 +38,6 @@ from sqgt import (
     simulate_campaign,
     strong_lex_base,
     subset_sums,
-    support_signature,
     syndrome,
     unit_thresholds,
     uniform_thresholds,
@@ -47,7 +46,11 @@ from sqgt import (
 )
 from sqgt.sequences import _order_violation as _check_sqlo
 
-from oracles import brute_force_subset_sum, check_sqlo_s_via_bh as _check_sqlo_s_via_bh
+from oracles import (
+    brute_force_subset_sum,
+    check_sqlo_s_via_bh as _check_sqlo_s_via_bh,
+    support_signature,
+)
 
 
 def _bench_code(K: int, kind: str, d: int):

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 
 from sqgt import (
+    InvalidBin,
     InvalidInput,
     OutOfRange,
     TestOutcome,
     inject_exhaustive,
     inject_explicit,
     inject_random,
-    support_signature,
     syndrome,
     unit_thresholds,
 )
+
+from oracles import support_signature
 
 
 def _entry(code_corpus, name):
@@ -69,6 +71,9 @@ def test_inject_explicit():
         inject_explicit(clean, [(9, 5)], Q=8)
     with pytest.raises(InvalidInput):
         inject_explicit(clean, [(1, 8)], Q=8)
+    for val in (4.5, True, "5"):
+        with pytest.raises(InvalidBin, match="is not an integer"):
+            inject_explicit(clean, [(1, val)], Q=8)
 
 
 def test_inject_exhaustive_counts():

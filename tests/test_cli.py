@@ -88,6 +88,29 @@ def test_base_gen_and_verify(capsys):
     assert rc == 1
 
 
+def test_base_gen_rejects_h_below_one(capsys):
+    # with h = 0 no subset would be checked, and 1 + 2 = 3 would pass
+    err = run_error(
+        capsys, "base", "gen", "--family", "subset-sum-distinct", "--h", "0", "--K", "4",
+    )
+    assert "h must be >= 1" in err
+
+
+@pytest.mark.parametrize("option", [["--greedy"], ["--start", "5"]])
+def test_base_gen_has_one_route(option):
+    with pytest.raises(SystemExit) as exc:
+        main(["base", "gen", "--family", "h-superincreasing", "--h", "2", "--K", "5", *option])
+    assert exc.value.code == 2
+
+
+def test_seq_check_rejects_boolean_thresholds(capsys):
+    err = run_error(
+        capsys, "seq", "check", "--thresholds", "[0,true,5,9]",
+        "--kind", "quantized-bh", "--h", "1", "--values", "1 5",
+    )
+    assert "threshold True is not an integer" in err
+
+
 def test_code_build_verify_syndrome_decode(capsys, tmp_path):
     prefix = build_demo_code(capsys, tmp_path)
     rc, out = run(
@@ -211,7 +234,8 @@ def test_code_build_from_a_sequence_file(capsys, tmp_path):
     (("d",), {"value": "2"}, "'d' must be int"),
     (("d",), {}, "missing key 'd'"),  # deleted
     (("thresholds", 1), {"value": 3.7}, "threshold 3.7 is not an integer"),
-], ids=["values-string", "d-string", "d-missing", "threshold-float"])
+    (("thresholds", 1), {"value": True}, "threshold True is not an integer"),
+], ids=["values-string", "d-string", "d-missing", "threshold-float", "threshold-bool"])
 def test_malformed_code_file_is_refused(capsys, tmp_path, edit_json, keys, edit, message):
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, *keys, **edit)

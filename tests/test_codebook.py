@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from sqgt import (
     unit_thresholds,
     uniform_thresholds,
     verified_sequence,
+    verify_disjunct,
     verify_sq_separable,
 )
 from sqgt.codebook import matrix_from_text
@@ -57,18 +59,6 @@ def test_build_concatenation(code_corpus):
     assert code.matrix.tolist() == [[3, 0, 6, 0, 12, 0], [0, 3, 0, 6, 0, 12]]
     assert code.q == 13
     assert (code.m, code.n) == (2, 6)
-
-
-def test_column_block_round_trip(code_corpus):
-    code = _entry(code_corpus, "qbh-i3-d2")
-    for col in range(code.n):
-        j, i = code.column_block(col)
-        assert col == j * code.base_n + i
-        assert code.matrix[:, col].tolist() == (
-            code.sequence.values[j] * code.base.matrix[:, i]
-        ).tolist()
-    with pytest.raises(InvalidInput):
-        code.column_block(code.n)
 
 
 def test_build_strict_headroom(th_step3):
@@ -257,7 +247,30 @@ def test_load_rejects_false_error_claim(tmp_path, edit_json):
     path = _saved_identity_code(tmp_path, [3, 6])
     # an identity base cannot correct an error: its columns have weight 1
     edit_json(path, "base", "e", value=1)
-    with pytest.raises(CorruptCode, match="weight"):
+    with pytest.raises(CorruptCode, match="disjunct"):
+        load_code(path)
+
+
+def test_load_verifies_an_inline_base_claim(tmp_path):
+    # each column lies in the union of the other two, so the base is not
+    # 2-disjunct, and decoding under the claim gives wrong answers
+    matrix = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+    assert not verify_disjunct(np.array(matrix), 2, 0)
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({
+        "thresholds": list(range(0, 46, 3)),
+        "base": {"d": 2, "e": 0, "matrix": matrix},
+        "sequence": {"kind": "sqlo-s", "h": 2, "values": [3, 6, 12]},
+        "d": 2,
+    }))
+    with pytest.raises(CorruptCode, match="not 2-disjunct"):
+        load_code(str(path))
+
+
+def test_load_rejects_a_negative_error_claim(tmp_path, edit_json):
+    path = _saved_identity_code(tmp_path, [3, 6])
+    edit_json(path, "base", "e", value=-1)
+    with pytest.raises(CorruptCode, match="e must be >= 0"):
         load_code(path)
 
 

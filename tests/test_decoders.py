@@ -10,11 +10,12 @@ from sqgt import (
     InvalidInput,
     decode,
     inject_exhaustive,
-    oracle_decode,
     recover_support,
     select_witness_coords,
     syndrome,
 )
+
+from oracles import oracle_decode
 
 
 def _entry(code_corpus, name):
@@ -91,6 +92,23 @@ def test_result_values_outside_the_bins_are_rejected(code_corpus):
         for y in ((0, code.thresholds.Q), (-1, 1)):
             with pytest.raises(InvalidBin):
                 decode(y, code)
+
+
+@pytest.mark.parametrize(
+    "y", [[3.9, 0.2], (3.9, 0.2), ("3", "0"), "30", (True, 0), np.array([3.0, 0.0])],
+    ids=["float-list", "float-tuple", "str-tuple", "str", "bool", "float-array"],
+)
+def test_result_values_that_are_not_integers_are_rejected(code_corpus, y):
+    # int() would read [3.9, 0.2] as (3, 0) and decode the wrong vector
+    code = _entry(code_corpus, "sqs-i2-d2")
+    with pytest.raises(InvalidBin, match="is not an integer"):
+        decode(y, code)
+
+
+def test_integer_result_values_of_any_container_decode(code_corpus):
+    code = _entry(code_corpus, "sqs-i2-d2")
+    for y in ([3, 0], (3, 0), np.array([3, 0]), syndrome(code, [0, 2])):
+        assert decode(y, code).defectives == frozenset({0, 2})
 
 
 def test_oracle_rejects_garbage(code_corpus):

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sqgt import (
     BinaryDisjunctCode,
@@ -13,6 +14,7 @@ from sqgt import (
     user_code,
     verify_disjunct,
 )
+from sqgt.disjunct import _gram_certificate, _search_disjunct
 
 
 def test_identity_is_maximally_disjunct():
@@ -94,3 +96,42 @@ def test_bases_keep_no_unused_knobs():
     with pytest.raises(TypeError):
         random_code(12, 6, 1, max_retries=1)
     assert [f.name for f in fields(BinaryDisjunctCode)] == ["matrix", "d", "e", "provenance"]
+
+
+def test_gram_certificate_settles_the_constructions():
+    for code in (
+        identity_code(4), kautz_singleton(3, 2), kautz_singleton(5, 2, d=2),
+        replicated_identity(4, 3),
+    ):
+        assert _gram_certificate(code.matrix, code.d, code.e), code.provenance
+    # columns {0}, {1,2,3} and {1,2,4}: weight 1 and overlap 2 defeat the
+    # certificate, but each column keeps a row from any other one
+    matrix = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 0], [0, 0, 1]])
+    assert not _gram_certificate(matrix, 1, 0)
+    assert verify_disjunct(matrix, 1, 0)
+
+
+@given(
+    st.integers(2, 8).flatmap(
+        lambda m: st.lists(
+            st.frozensets(st.integers(0, m - 1), min_size=1, max_size=3),
+            min_size=2, max_size=6,
+        ).map(lambda cols: np.array([[int(r in c) for c in cols] for r in range(m)]))
+    ),
+    st.integers(1, 4),
+    st.integers(0, 2),
+)
+@example(np.eye(4, dtype=int), 3, 0)
+@example(np.repeat(np.eye(3, dtype=int), 3, axis=0), 2, 1)
+@settings(max_examples=400, deadline=None)
+def test_gram_certificate_never_accepts_what_the_search_rejects(matrix, d, e):
+    d = min(d, matrix.shape[1] - 1)
+    found = _search_disjunct(matrix, d, e, budget=10**6)
+    if _gram_certificate(matrix, d, e):
+        assert found
+    assert verify_disjunct(matrix, d, e) == found
+
+
+def test_verify_disjunct_rejects_a_negative_e():
+    with pytest.raises(InvalidInput, match="e must be >= 0"):
+        verify_disjunct(np.eye(3, dtype=int), 2, -1)

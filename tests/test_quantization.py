@@ -2,16 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqgt import (
-    InvalidBin,
     InvalidInput,
     OutOfRange,
     Thresholds,
-    bin_bounds,
     quantize,
     uniform_thresholds,
     unit_thresholds,
 )
-from sqgt.quantization import quantize_linear_scan
+from oracles import quantize_linear_scan
 
 
 def test_running_example_step3(th_step3):
@@ -40,17 +38,6 @@ def test_out_of_range(th_gaps):
         quantize(th_gaps, 1000)
 
 
-def test_bin_bounds_round_trip(th_gaps):
-    for r in range(th_gaps.Q):
-        lo, hi = bin_bounds(th_gaps, r)
-        assert quantize(th_gaps, lo) == r
-        assert quantize(th_gaps, hi - 1) == r
-    with pytest.raises(InvalidBin):
-        bin_bounds(th_gaps, th_gaps.Q)
-    with pytest.raises(InvalidBin):
-        bin_bounds(th_gaps, -1)
-
-
 def test_invalid_thresholds():
     with pytest.raises(InvalidInput):
         Thresholds((0,))
@@ -64,6 +51,8 @@ def test_invalid_thresholds():
         Thresholds((0, 3.7, 6))
     with pytest.raises(InvalidInput, match="'3' is not an integer"):
         Thresholds((0, "3", 6))
+    with pytest.raises(InvalidInput, match="True is not an integer"):
+        Thresholds((0, True, 6))
 
 
 def test_json_round_trip(th_gaps):

@@ -14,7 +14,6 @@ from sqgt import (
     SQLO_S,
     STRONG_LEX,
     SUBSET_SUM_DISTINCT,
-    BaseSequence,
     CorruptSequence,
     InfeasibleThresholds,
     InvalidInput,
@@ -38,7 +37,12 @@ from sqgt import (
 from sqgt import sequences
 from sqgt.sequences import FAMILIES, FAMILY_TO_KIND, KINDS, _order_violation
 
-from oracles import brute_force_subset_sum, check_sqlo_s_via_bh
+from oracles import (
+    brute_force_subset_sum,
+    check_sqlo_s_via_bh,
+    recursive_superincreasing,
+    scan_base,
+)
 
 
 # --- the pairwise definitions, the oracle for check_sequence ---
@@ -364,6 +368,41 @@ def test_bases_of_the_benchmark_are_pinned():
     assert greedy_generate_base(H_SUPERINCREASING, 2, 4).values == (1, 2, 4, 7)
 
 
+def test_greedy_base_matches_the_scan():
+    for family in FAMILIES:
+        for h in range(1, 5):
+            for K in range(1, 10):
+                base = greedy_generate_base(family, h, K)
+                assert base.values == scan_base(family, h, K), (family, h, K)
+                assert (base.kind, base.h, base.thresholds) == (
+                    FAMILY_TO_KIND[family], h, None
+                )
+
+
+def test_recursive_base_matches_the_closed_form():
+    for h in range(1, 21):
+        assert base_recursive_superincreasing(h, 40).values == (
+            recursive_superincreasing(h, 40)
+        ), h
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bases_need_h_at_least_one(family):
+    # with h = 0 no subset is listed, so every sequence would pass
+    with pytest.raises(InvalidInput, match="h must be >= 1"):
+        check_base([1, 2, 3], family, 0)
+    with pytest.raises(InvalidInput, match="h must be >= 1"):
+        greedy_generate_base(family, 0, 4)
+
+
+def test_identity_sqlo_s_names_the_first_failing_element():
+    report = check_sequence([1, 2, 4, 7, 8, 27], None, 2, SQLO_S)
+    assert report.first_violation == "element 8 <= 11, the sum of {4,7}"
+    assert check_sequence([1, 2, 4, 7, 12], None, 2, SQLO_S).passed
+    # no counting bound and no K limit without bins
+    assert check_sequence(list(range(1, 40)), None, 1, SQLO_L).passed
+
+
 def test_strong_lex_base_construction():
     assert strong_lex_base(1).values == (1,)
     assert strong_lex_base(3).values == (2, 3, 4)
@@ -397,7 +436,7 @@ def test_scaled_construction_unit_gap():
 
 def test_scaled_construction_infeasible():
     # beta_1 = 5 scaled by g_s = 2 already overshoots eta_2 = 3
-    tall_start = BaseSequence((5, 11), H_SUPERINCREASING, 2)
+    tall_start = MultiplierSequence((5, 11), SQLO_S, 2, None)
     with pytest.raises(InfeasibleThresholds):
         scaled_construction(tall_start, Thresholds((0, 2, 3)), 2, s=2)
     base = base_recursive_superincreasing(2, 4)
