@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -11,6 +10,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidBin, InvalidInput, OutOfRange
+from .quantization import as_ints
 
 
 @dataclass(frozen=True)
@@ -19,7 +19,10 @@ class TestOutcome:
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
-    clean: bool = True
+
+    @property
+    def clean(self) -> bool:
+        return not self.error_positions
 
     def to_json(self) -> str:
         return json.dumps(
@@ -30,42 +33,38 @@ class TestOutcome:
         )
 
 
+def syndromes(code, sets) -> np.ndarray:
+    """The adder channel and the quantizer: the result vector of each of
+    equally large column sets, one row per set, binned from the
+    coordinate-wise sum of its columns.  OutOfRange names the first set's
+    coordinate whose sum reaches the top threshold."""
+    sums = code.matrix.T[np.asarray(sets, dtype=np.intp)].sum(axis=1)
+    eta = code.thresholds.eta
+    if sums.max() >= eta[-1]:
+        row = sums[int((sums.max(axis=1) >= eta[-1]).argmax())]
+        k = int(row.argmax())
+        raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {eta[-1]}")
+    return np.searchsorted(eta, sums, side="right") - 1
+
+
 def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
     """Quantized coordinate-wise sum of the defective columns."""
-    idx = sorted(set(int(i) for i in defectives))
+    idx = sorted(set(as_ints(defectives, "column index")))
     if not idx:
         raise InvalidInput("defective set must be nonempty")
     n = code.matrix.shape[1]
     if idx[0] < 0 or idx[-1] >= n:
         raise InvalidInput(f"column index outside [0, {n})")
-    sums = code.matrix[:, idx].sum(axis=1)
-    eta = code.thresholds.eta
-    if int(sums.max()) >= eta[-1]:
-        k = int(sums.argmax())
-        raise OutOfRange(
-            f"coordinate {k}: sum {int(sums[k])} >= top threshold {eta[-1]}"
-        )
-    y = np.searchsorted(eta, sums, side="right") - 1
-    return TestOutcome(tuple(int(v) for v in y), clean=True)
-
-
-def bin_value(v) -> int:
-    """v as an int; InvalidBin when it is a bool or no integer at all, which
-    int() would read as 1 or truncate to a wrong bin."""
-    if not isinstance(v, bool):
-        try:
-            return operator.index(v)
-        except TypeError:
-            pass
-    raise InvalidBin(f"result value {v!r} is not an integer")
+    return TestOutcome(tuple(syndromes(code, [idx])[0].tolist()))
 
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
     """Apply an explicit list of (coordinate, new value) changes."""
+    changes = list(changes)
+    positions = as_ints((pos for pos, _ in changes), "error position")
+    values = as_ints((val for _, val in changes), "error value", InvalidBin)
     y = list(outcome.y)
-    positions = []
-    for pos, val in changes:
-        val = bin_value(val)
+    for pos, val in zip(positions, values):
         if not 0 <= pos < len(y):
             raise InvalidInput(f"error position {pos} outside [0, {len(y)})")
         if not 0 <= val < Q:
@@ -73,8 +72,7 @@ def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q:
         if val == y[pos]:
             raise InvalidInput(f"value at position {pos} unchanged; not an error")
         y[pos] = val
-        positions.append(pos)
-    return TestOutcome(tuple(y), tuple(sorted(positions)), clean=not positions)
+    return TestOutcome(tuple(y), tuple(sorted(positions)))
 
 
 def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutcome]:
@@ -94,7 +92,7 @@ def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutc
                 y = list(outcome.y)
                 for k, v in zip(coords, vals):
                     y[k] = v
-                yield TestOutcome(tuple(y), tuple(coords), clean=False)
+                yield TestOutcome(tuple(y), tuple(coords))
 
 
 def inject_random(
@@ -114,4 +112,4 @@ def inject_random(
         for k in coords:
             others = [v for v in range(Q) if v != outcome.y[k]]
             y[k] = int(others[rng.integers(0, len(others))])
-        yield TestOutcome(tuple(y), coords, clean=not coords)
+        yield TestOutcome(tuple(y), coords)

@@ -15,6 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .channel import syndromes
 from .disjunct import (
     BinaryDisjunctCode,
     identity_code,
@@ -29,7 +30,6 @@ from .errors import (
     HeadroomError,
     InfeasibleThresholds,
     InvalidInput,
-    OutOfRange,
     ParameterError,
     SqgtError,
 )
@@ -171,25 +171,6 @@ def build(
     )
 
 
-def _enumerate_syndromes(code: SqgtCode, l: int, u: int) -> np.ndarray:
-    """Result vectors of every column set of l..u columns, one row each in
-    combinations order; OutOfRange names the first set that overflows."""
-    columns = code.matrix.T
-    eta = np.asarray(code.thresholds.eta)
-    top = code.thresholds.top
-    blocks = []
-    for size in range(l, u + 1):
-        sets = np.array(list(combinations(range(code.n), size)), dtype=np.intp)
-        sums = columns[sets].sum(axis=1)
-        over = sums.max(axis=1) >= top
-        if over.any():
-            row = sums[int(over.argmax())]
-            k = int(row.argmax())
-            raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {top}")
-        blocks.append(np.searchsorted(eta, sums, side="right") - 1)
-    return np.concatenate(blocks)
-
-
 def verify_sq_separable(
     code: SqgtCode,
     l: int,
@@ -209,7 +190,10 @@ def verify_sq_separable(
             f"{num_sets} sets -> ~{num_sets**2 * code.m} coordinate comparisons "
             f"exceed budget {budget}"
         )
-    rows = _enumerate_syndromes(code, l, u)
+    rows = np.concatenate([
+        syndromes(code, list(combinations(range(code.n), size)))
+        for size in range(l, u + 1)
+    ])
     if e == 0:
         return len(np.unique(rows, axis=0)) == len(rows)
     need = 2 * e + 1
@@ -241,7 +225,10 @@ def feasibility_report(
     th: Thresholds | None = None,
 ) -> dict:
     """Informational lower bounds and necessary-condition checks; never
-    blocking."""
+    blocking.  InvalidInput names a given n, d, K or h below 1, or Q below 2."""
+    for name, value, least in (("n", n, 1), ("d", d, 1), ("K", K, 1), ("h", h, 1), ("Q", Q, 2)):
+        if value is not None and value < least:
+            raise InvalidInput(f"{name} must be >= {least}, got {value}")
     report: dict = {"notes": []}
     if n and d and Q:
         report["tests_lower_bound_counting"] = d * math.log(n / d, Q)

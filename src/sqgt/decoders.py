@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import TestOutcome, bin_value
+from .channel import TestOutcome
 from .codebook import SqgtCode
 from .errors import DecodingFailure, InvalidBase, InvalidBin, InvalidInput
+from .quantization import as_ints
 from .sequences import QUANTIZED_BH, knapsack_solve
 
 
@@ -57,13 +58,7 @@ def select_witness_coords(y, support: Sequence[int], e: int) -> list[int]:
 def _y_values(y) -> tuple[int, ...]:
     """y as a tuple of ints; InvalidBin names an entry that is a bool or no
     integer."""
-    if isinstance(y, TestOutcome):
-        return y.y
-    values = tuple(y)
-    for v in values:
-        if type(v) is not int:  # a numpy integer, or no integer at all
-            return tuple(map(bin_value, values))
-    return values
+    return y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
 
 
 def _result_values(y, code: SqgtCode) -> tuple[int, ...]:

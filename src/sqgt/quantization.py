@@ -3,7 +3,8 @@
 A threshold vector eta = [0, eta_1, ..., eta_Q] splits the non-negative
 integers below eta_Q into Q bins; bin r is the half-open interval
 [eta_r, eta_{r+1}).  Everything else in the package is expressed through
-this mapping.
+this mapping, and every integer the package takes passes one rule,
+as_ints.
 """
 
 from __future__ import annotations
@@ -16,6 +17,24 @@ from dataclasses import dataclass
 from .errors import InvalidInput, OutOfRange
 
 
+def as_ints(values, what: str, error: type = InvalidInput) -> tuple[int, ...]:
+    """values as a tuple of ints, the one integer rule of every boundary:
+    `error` names the first value that is a bool or no integer at all, which
+    int() would read as 0 or 1 or truncate.  A tuple of ints is returned as
+    it is; numpy integers are converted."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise error(f"{what}: {values!r} is not a sequence") from None
+    for v in values:
+        if type(v) is not int:  # a numpy integer, or no integer at all
+            bad = [v for v in values if isinstance(v, bool) or not hasattr(type(v), "__index__")]
+            if bad:
+                raise error(f"{what} {bad[0]!r} is not an integer")
+            return tuple(map(operator.index, values))
+    return values
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Strictly increasing integer thresholds starting at 0."""
@@ -23,11 +42,7 @@ class Thresholds:
     eta: tuple[int, ...]
 
     def __post_init__(self):
-        eta = tuple(self.eta)
-        bad = [v for v in eta if isinstance(v, bool) or not hasattr(type(v), "__index__")]
-        if bad:
-            raise InvalidInput(f"threshold {bad[0]!r} is not an integer")
-        eta = tuple(map(operator.index, eta))
+        eta = as_ints(self.eta, "threshold")
         object.__setattr__(self, "eta", eta)
         if len(eta) < 2:
             raise InvalidInput("need at least two thresholds (Q >= 1)")
@@ -62,7 +77,7 @@ class Thresholds:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
+        if not isinstance(data, list):
             raise InvalidInput("thresholds must be a JSON array of integers")
         return cls(tuple(data))
 

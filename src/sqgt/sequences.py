@@ -36,7 +36,7 @@ from .errors import (
     InvalidInput,
     UnsupportedKind,
 )
-from .quantization import Thresholds
+from .quantization import Thresholds, as_ints
 
 QUANTIZED_BH = "quantized-bh"
 SQLO_S = "sqlo-s"
@@ -80,7 +80,7 @@ class MultiplierSequence:
     thresholds: Thresholds | None
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", as_ints(self.values, "sequence element"))
         report = check_sequence(self.values, self.thresholds, self.h, self.kind)
         if not report:
             raise InvalidInput(
@@ -126,7 +126,7 @@ def _cardinality_feasible(K: int, h: int, Q: int) -> str | None:
 def _validated(seq) -> tuple[int, ...]:
     """seq as a tuple of ints, which must be non-empty, strictly increasing
     and positive."""
-    seq = tuple(int(v) for v in seq)
+    seq = as_ints(seq, "sequence element")
     if not seq:
         raise InvalidInput("empty sequence")
     for a, b in zip(seq, seq[1:]):

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ from sqgt import (
     syndrome,
     unit_thresholds,
 )
+from sqgt.channel import syndromes
 
 from oracles import support_signature
 
@@ -123,5 +125,17 @@ def test_inject_random_bounds_the_error_count():
 
 
 def test_outcome_json():
-    hit = TestOutcome((3, 5, 1), (1,), clean=False)
+    hit = TestOutcome((3, 5, 1), (1,))
     assert '"errors": [[1, 5]]' in hit.to_json()
+
+
+def test_clean_follows_the_error_positions():
+    assert TestOutcome((3, 5, 1)).clean
+    assert not TestOutcome((3, 5, 1), (1,)).clean
+
+
+def test_syndromes_are_the_syndrome_of_each_set(code_corpus):
+    code = _entry(code_corpus, "qbh-i3-d2")
+    sets = list(combinations(range(code.n), 2))
+    rows = syndromes(code, sets)
+    assert [tuple(row) for row in rows.tolist()] == [syndrome(code, D).y for D in sets]

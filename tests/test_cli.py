@@ -189,6 +189,18 @@ def test_report(capsys):
     assert abs(payload["tests_lower_bound_counting"] - 33.2) < 0.1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "1000", "--d", "10", "--Q", "1"), "Q must be >= 2"),
+        (("--n", "-5", "--d", "2", "--Q", "4"), "n must be >= 1"),
+        (("--K", "3", "--h", "-1", "--Q", "4"), "h must be >= 1"),
+    ],
+)
+def test_report_rejects_parameters_out_of_range(capsys, argv, message):
+    assert message in run_error(capsys, "report", *argv)
+
+
 def test_code_build_output_is_a_simulate_config(capsys, tmp_path):
     prefix = build_demo_code(capsys, tmp_path)
     rc, out = run(capsys, "--json", "simulate", "--config", prefix + ".json")

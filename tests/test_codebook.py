@@ -194,6 +194,21 @@ def test_feasibility_report_checks(th_gaps):
     assert any("binary" in note for note in report["notes"])
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n": 1000, "d": 10, "Q": 1}, "Q must be >= 2, got 1"),
+        ({"n": -5, "d": 2, "Q": 4}, "n must be >= 1, got -5"),
+        ({"n": 10, "d": 0, "Q": 4}, "d must be >= 1, got 0"),
+        ({"K": 0, "h": 2, "Q": 8}, "K must be >= 1, got 0"),
+        ({"K": 3, "h": -1, "Q": 4}, "h must be >= 1, got -1"),
+    ],
+)
+def test_feasibility_report_rejects_parameters_out_of_range(kwargs, message):
+    with pytest.raises(InvalidInput, match=message):
+        feasibility_report(**kwargs)
+
+
 def test_matrix_text_round_trip(code_corpus):
     code = _entry(code_corpus, "qbh-i3-d2")
     rows = (" ".join(map(str, row)) for row in code.matrix.tolist())
