@@ -12,6 +12,7 @@ from .channel import inject_exhaustive, inject_random, syndrome
 from .codebook import SqgtCode
 from .decoders import decode
 from .errors import DecodingFailure, InvalidInput
+from .quantization import as_int
 
 EXHAUSTIVE = "exhaustive"
 SEEDED_RANDOM = "seeded-random"
@@ -106,14 +107,14 @@ def simulate_campaign(
     counts.  Under contract (e_inject <= code.e) failures must be 0."""
     if policy not in (EXHAUSTIVE, SEEDED_RANDOM):
         raise InvalidInput(f"unknown error policy {policy!r}")
-    if samples_per_set < 1:
-        raise InvalidInput(f"samples_per_set must be >= 1, got {samples_per_set}")
-    if e_inject is None:
-        e_inject = code.e
+    e_inject = code.e if e_inject is None else as_int(e_inject, "e_inject", 0)
+    samples_per_set = as_int(samples_per_set, "samples_per_set", 1)
+    budget = None if budget is None else as_int(budget, "budget", 0)
+    workers = as_int(workers, "workers", 1)
     start = time.perf_counter()
     sets = list(enumerate(_defective_sets(code, code.d)))
     summary = CampaignSummary()
-    if workers <= 1:
+    if workers == 1:
         summary = _run_chunk(code, sets, e_inject, policy, seed, samples_per_set, budget)
     else:
         chunk_size = max(1, len(sets) // workers)

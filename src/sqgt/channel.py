@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InvalidBin, InvalidInput, OutOfRange
-from .quantization import as_ints
+from .quantization import as_int, as_ints
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
     """Apply an explicit list of (coordinate, new value) changes."""
-    changes = list(changes)
+    changes, Q = list(changes), as_int(Q, "Q", 1)
     positions = as_ints((pos for pos, _ in changes), "error position")
     values = as_ints((val for _, val in changes), "error value", InvalidBin)
     y = list(outcome.y)
@@ -79,8 +79,7 @@ def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutc
     """Stream every outcome differing from the input in <= e coordinates,
     each changed entry taking any other value in [Q].  The clean outcome
     is emitted first (the zero-change pattern)."""
-    if e < 0:
-        raise InvalidInput(f"e must be >= 0, got {e}")
+    e, Q = as_int(e, "e", 0), as_int(Q, "Q", 1)
     m = len(outcome.y)
     yield outcome
     for t in range(1, e + 1):
@@ -101,8 +100,7 @@ def inject_random(
     """Deterministic seeded sampling of <= e-error patterns; at most m
     coordinates can change.  The seed is an int or a tuple of ints, such as
     a campaign's (seed, defective-set index)."""
-    if e < 0:
-        raise InvalidInput(f"e must be >= 0, got {e}")
+    e, Q, count = as_int(e, "e", 0), as_int(Q, "Q", 1), as_int(count, "count", 0)
     rng = np.random.default_rng(seed)
     m = len(outcome.y)
     for _ in range(count):

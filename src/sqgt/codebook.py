@@ -33,11 +33,12 @@ from .errors import (
     ParameterError,
     SqgtError,
 )
-from .quantization import Thresholds, load_thresholds, quantize
+from .quantization import Thresholds, as_int, load_thresholds, quantize
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
     _cardinality_feasible,
+    _subsets_needed,
     check_sequence,
     greedy_generate,
     subset_sums,
@@ -128,8 +129,7 @@ def build(
     """
     if mode not in (STRICT, PERMISSIVE):
         raise InvalidInput(f"unknown mode {mode!r}")
-    if d < 1:
-        raise InvalidInput(f"d must be >= 1, got {d}")
+    d = as_int(d, "d", 1)
     if seq.h < d:
         raise ParameterError(f"sequence verified for h={seq.h} < d={d}")
     # Disjunctness is vacuous for d > n-1: there are no d-subsets of other
@@ -180,10 +180,8 @@ def verify_sq_separable(
 ) -> bool:
     """Exhaustive check: result vectors of any two distinct column sets
     with sizes in [l, u] differ in >= 2e+1 coordinates."""
-    if not 1 <= l <= u <= code.n:
-        raise InvalidInput(f"need 1 <= l <= u <= n, got l={l}, u={u}")
-    if e < 0:
-        raise InvalidInput(f"e must be >= 0, got {e}")
+    l, e = as_int(l, "l", 1), as_int(e, "e", 0)
+    u, budget = as_int(u, "u", l, code.n), as_int(budget, "budget", 0)
     num_sets = sum(math.comb(code.n, s) for s in range(l, u + 1))
     if num_sets * num_sets * code.m > budget:
         raise BudgetExceeded(
@@ -225,10 +223,13 @@ def feasibility_report(
     th: Thresholds | None = None,
 ) -> dict:
     """Informational lower bounds and necessary-condition checks; never
-    blocking.  InvalidInput names a given n, d, K or h below 1, or Q below 2."""
-    for name, value, least in (("n", n, 1), ("d", d, 1), ("K", K, 1), ("h", h, 1), ("Q", Q, 2)):
-        if value is not None and value < least:
-            raise InvalidInput(f"{name} must be >= {least}, got {value}")
+    blocking.  InvalidInput names a given n, d, K or h below 1, Q or q below
+    2, or d above a given n."""
+    n, K, h, Q, q = (
+        None if v is None else as_int(v, name, least)
+        for name, v, least in (("n", n, 1), ("K", K, 1), ("h", h, 1), ("Q", Q, 2), ("q", q, 2))
+    )
+    d = None if d is None else as_int(d, "d", 1, n)
     report: dict = {"notes": []}
     if n and d and Q:
         report["tests_lower_bound_counting"] = d * math.log(n / d, Q)
@@ -238,7 +239,7 @@ def feasibility_report(
                 d * d / (2 * math.log2(d)) * math.log2(n)
             )
     if K and h and Q:
-        violation = _cardinality_feasible(K, h, Q)
+        violation = _cardinality_feasible(_subsets_needed(K, h), h, Q)
         report["cardinality_check"] = {
             "condition": violation or f"subsets of cardinality <= {h} fit in Q={Q} bins",
             "feasible": violation is None,

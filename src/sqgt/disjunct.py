@@ -10,15 +10,15 @@ search.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import BudgetExceeded, InvalidInput
+from .quantization import as_int
 
-DEFAULT_VERIFY_BUDGET = 10**8
+MAX_SEARCH_CHECKS = 10**8  # column checks the exhaustive search may make
 MAX_RETRIES = 50  # random_code draws before giving up
 
 
@@ -49,34 +49,30 @@ def _gram_certificate(matrix: np.ndarray, d: int, e: int) -> bool:
     return w - d * int(gram.max()) >= 2 * e + 1
 
 
-def verify_disjunct(
-    matrix: np.ndarray, d: int, e: int, budget: int = DEFAULT_VERIFY_BUDGET
-) -> bool:
+def verify_disjunct(matrix: np.ndarray, d: int, e: int) -> bool:
     """Check of the disjunctness definition: every column keeps >= 2e+1 rows
     private from the union of any d other columns.  The Gram certificate
-    settles most bases; the rest are searched exhaustively."""
+    settles most bases; the rest are searched exhaustively, which
+    BudgetExceeded refuses past MAX_SEARCH_CHECKS checks."""
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or not ((matrix == 0) | (matrix == 1)).all():
-        raise InvalidInput("matrix must be binary and two-dimensional")
-    n = matrix.shape[1]
-    if not 1 <= d < n:
-        raise InvalidInput(f"need 1 <= d < n, got d={d}, n={n}")
-    if e < 0:
-        raise InvalidInput(f"e must be >= 0, got {e}")
+    if matrix.ndim != 2 or matrix.dtype.kind not in "iu" or not (
+        (matrix == 0) | (matrix == 1)
+    ).all():
+        raise InvalidInput("matrix must be a two-dimensional binary integer array")
+    d, e = as_int(d, "d", 1, matrix.shape[1] - 1), as_int(e, "e", 0)
     if _gram_certificate(matrix, d, e):
         return True
-    return _search_disjunct(matrix, d, e, budget)
+    return _search_disjunct(matrix, d, e)
 
 
-def _search_disjunct(matrix: np.ndarray, d: int, e: int, budget: int) -> bool:
+def _search_disjunct(matrix: np.ndarray, d: int, e: int) -> bool:
     """The definition, tried for every column and every d others."""
     n = matrix.shape[1]
     checks = n * math.comb(n - 1, d)
-    if checks > budget:
-        warnings.warn(
-            f"verify_disjunct will perform ~{checks} subset checks "
-            f"(budget {budget}); this may take a while",
-            stacklevel=3,
+    if checks > MAX_SEARCH_CHECKS:
+        raise BudgetExceeded(
+            f"the disjunctness search needs {checks} column checks, "
+            f"more than {MAX_SEARCH_CHECKS}"
         )
     cols = matrix.T.astype(bool)
     need = 2 * e + 1
@@ -94,9 +90,8 @@ def _search_disjunct(matrix: np.ndarray, d: int, e: int, budget: int) -> bool:
 def identity_code(n: int, e: int = 0) -> BinaryDisjunctCode:
     """n x n identity: (n-1)-disjunct, but each column has exactly one
     private coordinate, so e must be 0."""
-    if n < 2:
-        raise InvalidInput(f"need n >= 2, got {n}")
-    if e != 0:
+    n = as_int(n, "n", 2)
+    if as_int(e, "e", 0) != 0:
         raise InvalidInput("identity columns have weight 1; e > 0 is impossible")
     return BinaryDisjunctCode(np.eye(n, dtype=int), d=n - 1, e=0, provenance="identity")
 
@@ -118,16 +113,13 @@ def kautz_singleton(
     Only prime fields are supported; extension-field arithmetic is out of
     scope for the desk-scale instances this package targets.
     """
+    q_field = as_int(q_field, "q_field", 2)
     if not _is_prime(q_field):
         raise InvalidInput(f"q_field={q_field} is not a prime (prime fields only)")
-    if not 2 <= k <= q_field:
-        raise InvalidInput(f"need 2 <= k <= q_field, got k={k}, q_field={q_field}")
+    k = as_int(k, "k", 2, q_field)
     w = q_field
     d_max = (w - 1) // (k - 1)
-    if d is None:
-        d = d_max
-    if not 1 <= d <= d_max:
-        raise InvalidInput(f"requested d={d} outside [1, {d_max}] for these parameters")
+    d = d_max if d is None else as_int(d, "d", 1, d_max)
     e = (w - d * (k - 1) - 1) // 2
 
     n = q_field**k
@@ -149,6 +141,8 @@ def random_code(
 ) -> BinaryDisjunctCode:
     """i.i.d. Bernoulli draws, emitted only after passing verify_disjunct;
     a failed draw retries with an incremented seed."""
+    m, n = as_int(m, "m", 1), as_int(n, "n", 2)
+    d, e = as_int(d, "d", 1, n - 1), as_int(e, "e", 0)
     if density is None:
         density = 1.0 / (d + 1)
     for attempt in range(MAX_RETRIES):
@@ -167,17 +161,17 @@ def random_code(
 def user_code(matrix, d: int, e: int) -> BinaryDisjunctCode:
     """Wrap a caller-supplied binary matrix, verifying its claimed
     parameters."""
-    matrix = np.asarray(matrix, dtype=int)
+    matrix = np.asarray(matrix)
     if not verify_disjunct(matrix, d, e):
         raise InvalidInput(f"matrix is not {d}-disjunct with e={e}")
-    return BinaryDisjunctCode(matrix, d=d, e=e, provenance="user-supplied")
+    d, e = as_int(d, "d"), as_int(e, "e")  # verified above; stored as ints
+    return BinaryDisjunctCode(matrix.astype(int), d=d, e=e, provenance="user-supplied")
 
 
 def replicated_identity(n: int, copies: int) -> BinaryDisjunctCode:
     """Identity with each row repeated `copies` times: every column owns
     `copies` private rows, giving e = (copies - 1) // 2."""
-    if n < 2 or copies < 1:
-        raise InvalidInput("need n >= 2 and copies >= 1")
+    n, copies = as_int(n, "n", 2), as_int(copies, "copies", 1)
     matrix = np.repeat(np.eye(n, dtype=int), copies, axis=0)
     return BinaryDisjunctCode(
         matrix, d=n - 1, e=(copies - 1) // 2, provenance="replicated-identity"

@@ -4,7 +4,7 @@ A threshold vector eta = [0, eta_1, ..., eta_Q] splits the non-negative
 integers below eta_Q into Q bins; bin r is the half-open interval
 [eta_r, eta_{r+1}).  Everything else in the package is expressed through
 this mapping, and every integer the package takes passes one rule,
-as_ints.
+as_int, or as_ints for a sequence.
 """
 
 from __future__ import annotations
@@ -17,21 +17,32 @@ from dataclasses import dataclass
 from .errors import InvalidInput, OutOfRange
 
 
+def as_int(value, what: str, least: int | None = None, most: int | None = None,
+           error: type = InvalidInput) -> int:
+    """value as an int, the one integer rule of every scalar count: `error`
+    says that a bool or a non-integer is not an integer, or that the value
+    lies below `least` or above `most`.  numpy integers are converted."""
+    if type(value) is not int:  # a numpy integer, or no integer at all
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise error(f"{what} {value!r} is not an integer")
+        value = operator.index(value)
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise error(f"{what} must be <= {most}, got {value}")
+    return value
+
+
 def as_ints(values, what: str, error: type = InvalidInput) -> tuple[int, ...]:
-    """values as a tuple of ints, the one integer rule of every boundary:
-    `error` names the first value that is a bool or no integer at all, which
-    int() would read as 0 or 1 or truncate.  A tuple of ints is returned as
-    it is; numpy integers are converted."""
+    """values as a tuple of ints, each under as_int's rule.  A tuple of ints
+    is returned as it is."""
     try:
         values = tuple(values)
     except TypeError:
         raise error(f"{what}: {values!r} is not a sequence") from None
     for v in values:
-        if type(v) is not int:  # a numpy integer, or no integer at all
-            bad = [v for v in values if isinstance(v, bool) or not hasattr(type(v), "__index__")]
-            if bad:
-                raise error(f"{what} {bad[0]!r} is not an integer")
-            return tuple(map(operator.index, values))
+        if type(v) is not int:
+            return tuple(as_int(v, what, error=error) for v in values)
     return values
 
 
@@ -63,9 +74,7 @@ class Thresholds:
 
     def max_gap(self, s: int | None = None) -> int:
         """Largest gap between consecutive thresholds among the first s."""
-        s = self.Q if s is None else s
-        if not 1 <= s <= self.Q:
-            raise InvalidInput(f"s must be in [1, {self.Q}], got {s}")
+        s = self.Q if s is None else as_int(s, "s", 1, self.Q)
         return max(self.eta[i] - self.eta[i - 1] for i in range(1, s + 1))
 
     def to_json(self) -> str:
@@ -104,9 +113,9 @@ def quantize(th: Thresholds, alpha: int) -> int:
 
 def unit_thresholds(top: int) -> Thresholds:
     """Thresholds [0, 1, ..., top]; every integer below top is its own bin."""
-    return Thresholds(tuple(range(top + 1)))
+    return Thresholds(tuple(range(as_int(top, "top", 1) + 1)))
 
 
 def uniform_thresholds(step: int, Q: int) -> Thresholds:
     """Thresholds [0, step, 2*step, ..., Q*step]."""
-    return Thresholds(tuple(step * i for i in range(Q + 1)))
+    return Thresholds(tuple(step * i for i in range(as_int(Q, "Q", 1) + 1)))

@@ -31,12 +31,13 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
+    BudgetExceeded,
     CorruptSequence,
     InfeasibleThresholds,
     InvalidInput,
     UnsupportedKind,
 )
-from .quantization import Thresholds, as_ints
+from .quantization import Thresholds, as_int, as_ints
 
 QUANTIZED_BH = "quantized-bh"
 SQLO_S = "sqlo-s"
@@ -56,7 +57,8 @@ FAMILY_TO_KIND = {
     STRONG_LEX: SQLO_L,
 }
 
-MAX_EXHAUSTIVE_K = 20
+# Subsets an order check may list: every subset of K <= 20 elements.
+MAX_LISTED_SUBSETS = 2**20 - 1
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,7 @@ class MultiplierSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "values", as_ints(self.values, "sequence element"))
+        object.__setattr__(self, "h", as_int(self.h, "h", 1))
         report = check_sequence(self.values, self.thresholds, self.h, self.kind)
         if not report:
             raise InvalidInput(
@@ -114,10 +117,14 @@ def _fmt(subset) -> str:
     return "{" + ",".join(str(v) for v in subset) + "}"
 
 
-def _cardinality_feasible(K: int, h: int, Q: int) -> str | None:
-    """The counting bound: the empty set and the subsets of at most h of K
-    elements need distinct bins.  None when Q bins suffice."""
-    needed = sum(math.comb(K, i) for i in range(min(h, K) + 1))
+def _subsets_needed(K: int, h: int) -> int:
+    """The empty set and the subsets of at most h of K elements."""
+    return sum(math.comb(K, i) for i in range(min(h, K) + 1))
+
+
+def _cardinality_feasible(needed: int, h: int, Q: int) -> str | None:
+    """The counting bound: the `needed` subsets of at most h elements, the
+    empty one included, need distinct bins.  None when Q bins suffice."""
     if needed > Q:
         return f"subsets of cardinality <= {h} need {needed} bins but only Q={Q} exist"
     return None
@@ -200,27 +207,22 @@ def _window_violation(seq, h: int) -> str | None:
 def check_sequence(seq, th: Thresholds | None, h: int, kind: str) -> CheckReport:
     """Verify the defining property of the given kind over every subset of
     at most h elements: the counting bound, then one sorted pass over the
-    subsets (_order_violation).  On the identity quantizer (th None) there
-    are no bins to count and no limit on K, and SQLO_s is the window test
-    (_window_violation)."""
+    subsets (_order_violation), which BudgetExceeded refuses past
+    MAX_LISTED_SUBSETS subsets.  On the identity quantizer (th None) there
+    are no bins to count, and SQLO_s is the window test (_window_violation),
+    which lists no subsets."""
     seq = _validated(seq)
     if kind not in KINDS:
         raise InvalidInput(f"unknown kind {kind!r}")
-    if h < 1:
-        raise InvalidInput(f"h must be >= 1, got {h}")
-    if th is None:
-        if kind == SQLO_S:
-            violation = _window_violation(seq, h)
-        else:
-            violation = _order_violation(seq, None, h, kind)
-    elif len(seq) > MAX_EXHAUSTIVE_K:
-        raise InvalidInput(
-            f"K={len(seq)} exceeds the exhaustive-check limit {MAX_EXHAUSTIVE_K}"
-        )
+    h = as_int(h, "h", 1)
+    if th is None and kind == SQLO_S:
+        violation = _window_violation(seq, h)
     else:
-        violation = _cardinality_feasible(len(seq), h, th.Q) or _order_violation(
-            seq, th, h, kind
-        )
+        needed = _subsets_needed(len(seq), h)
+        violation = None if th is None else _cardinality_feasible(needed, h, th.Q)
+        if violation is None and needed - 1 > MAX_LISTED_SUBSETS:
+            raise BudgetExceeded(f"{needed - 1} subsets to check, more than {MAX_LISTED_SUBSETS}")
+        violation = violation or _order_violation(seq, th, h, kind)
     return CheckReport(violation is None, violation)
 
 
@@ -252,8 +254,7 @@ def greedy_generate(
     of the h largest elements, which it must outrank; SQLO_l with h >= 2
     below the bin of a_1 + a_2, which outranks every single element.
     """
-    if K_target < 1:
-        raise InvalidInput(f"K_target must be >= 1, got {K_target}")
+    K_target = as_int(K_target, "K_target", 1)
     first = 1 if th is None else th.eta[1]
     if not check_sequence([first], th, h, kind).passed:
         raise InfeasibleThresholds(
@@ -302,8 +303,7 @@ def strong_lex_base(K: int) -> MultiplierSequence:
     gap sequence is built Fibonacci-style; a constant offset then lifts
     every pair sum above every single element.
     """
-    if K < 1:
-        raise InvalidInput(f"K must be >= 1, got {K}")
+    K = as_int(K, "K", 1)
     if K == 1:
         return MultiplierSequence((1,), SQLO_L, 2, None)
     gaps_rtl = []
@@ -330,8 +330,7 @@ def scaled_construction(
     K_s is the largest prefix length whose h-window sum, scaled, stays
     below eta_s; the result is verified against the base's kind.
     """
-    if not 2 <= s <= th.Q:
-        raise InvalidInput(f"s must be in [2, {th.Q}], got {s}")
+    s, h = as_int(s, "s", 2, th.Q), as_int(h, "h", 1)
     if base.h < h:
         raise InvalidInput(f"base built for h={base.h} < requested h={h}")
     g_s = th.max_gap(s)
@@ -357,8 +356,7 @@ def gamma_bound(h: int) -> float:
     """Largest positive real root of x^(h+1) - 2x^h + 1, excluding the
     trivial root at 1 for h >= 2; governs the growth of the recursive
     h-superincreasing sequences."""
-    if h < 1:
-        raise InvalidInput(f"h must be >= 1, got {h}")
+    h = as_int(h, "h", 1)
     if h == 1:
         # (x-1)^2; before the (x-1) multiplication the equation is x-1=0.
         return 1.0
@@ -381,8 +379,7 @@ def gamma_bound(h: int) -> float:
 def subset_sums(seq: MultiplierSequence, d: int) -> list[tuple[int, frozenset[int]]]:
     """Ordered table of all subset sums of cardinality 1..min(d, K), each
     with its unique generating subset."""
-    if d < 1:
-        raise InvalidInput(f"d must be >= 1, got {d}")
+    d = as_int(d, "d", 1)
     table: dict[int, frozenset[int]] = {}
     for subset in _subsets_up_to(seq.values, d):
         total = sum(subset)
@@ -413,14 +410,12 @@ def knapsack_solve(
     can still be completed within it (lexicographic order).
     Both run in O(K d) element comparisons, whatever the bin width.
     """
-    if hi is None:
+    if hi is None and type(lo) is int:
         hi = lo + 1
-    if lo < 1:
-        raise InvalidInput(f"lower sum bound must be >= 1, got {lo}")
-    if hi <= lo:
-        raise InvalidInput(f"empty sum interval [{lo}, {hi})")
-    if d < 1:
-        raise InvalidInput(f"d must be >= 1, got {d}")
+    # ints in range, which the decoders pass, take no call of the integer rule
+    if not (type(d) is type(lo) is type(hi) is int and d >= 1 and 1 <= lo < hi):
+        d, lo = as_int(d, "d", 1), as_int(lo, "lo", 1)
+        hi = lo + 1 if hi is None else as_int(hi, "hi", lo + 1)
     if seq.kind == QUANTIZED_BH:
         raise UnsupportedKind(
             "no linear-time solver for plain quantized B_h sequences; "

@@ -195,6 +195,7 @@ def test_report(capsys):
         (("--n", "1000", "--d", "10", "--Q", "1"), "Q must be >= 2"),
         (("--n", "-5", "--d", "2", "--Q", "4"), "n must be >= 1"),
         (("--K", "3", "--h", "-1", "--Q", "4"), "h must be >= 1"),
+        (("--n", "5", "--d", "10", "--Q", "4"), "d must be <= 5, got 10"),
     ],
 )
 def test_report_rejects_parameters_out_of_range(capsys, argv, message):

@@ -202,6 +202,7 @@ def test_feasibility_report_checks(th_gaps):
         ({"n": 10, "d": 0, "Q": 4}, "d must be >= 1, got 0"),
         ({"K": 0, "h": 2, "Q": 8}, "K must be >= 1, got 0"),
         ({"K": 3, "h": -1, "Q": 4}, "h must be >= 1, got -1"),
+        ({"n": 5, "d": 10, "Q": 4}, "d must be <= 5, got 10"),
     ],
 )
 def test_feasibility_report_rejects_parameters_out_of_range(kwargs, message):

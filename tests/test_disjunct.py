@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from sqgt import (
     BinaryDisjunctCode,
+    BudgetExceeded,
     InvalidInput,
     identity_code,
     kautz_singleton,
@@ -14,6 +15,7 @@ from sqgt import (
     user_code,
     verify_disjunct,
 )
+from sqgt import disjunct
 from sqgt.disjunct import _gram_certificate, _search_disjunct
 
 
@@ -111,6 +113,24 @@ def test_gram_certificate_settles_the_constructions():
     assert verify_disjunct(matrix, 1, 0)
 
 
+def test_the_search_past_its_limit_is_refused(monkeypatch):
+    # the matrix above needs the search: 3 columns x C(2, 1) others = 6 checks
+    matrix = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(disjunct, "MAX_SEARCH_CHECKS", 5)
+    with pytest.raises(BudgetExceeded, match="6 column checks"):
+        verify_disjunct(matrix, 1, 0)
+    # a base the Gram certificate settles needs no search
+    assert verify_disjunct(np.eye(3, dtype=int), 2, 0)
+
+
+def test_a_matrix_of_non_integers_is_refused_not_truncated():
+    with pytest.raises(InvalidInput, match="binary integer"):
+        user_code([[1, 0.5], [0.7, 1]], 1, 0)
+    with pytest.raises(InvalidInput, match="binary integer"):
+        verify_disjunct(np.eye(3), 2, 0)
+    assert user_code(np.eye(3, dtype=np.uint8), 2, 0).matrix.dtype == int
+
+
 @given(
     st.integers(2, 8).flatmap(
         lambda m: st.lists(
@@ -126,7 +146,7 @@ def test_gram_certificate_settles_the_constructions():
 @settings(max_examples=400, deadline=None)
 def test_gram_certificate_never_accepts_what_the_search_rejects(matrix, d, e):
     d = min(d, matrix.shape[1] - 1)
-    found = _search_disjunct(matrix, d, e, budget=10**6)
+    found = _search_disjunct(matrix, d, e)
     if _gram_certificate(matrix, d, e):
         assert found
     assert verify_disjunct(matrix, d, e) == found

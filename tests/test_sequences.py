@@ -14,6 +14,7 @@ from sqgt import (
     SQLO_S,
     STRONG_LEX,
     SUBSET_SUM_DISTINCT,
+    BudgetExceeded,
     CorruptSequence,
     InfeasibleThresholds,
     InvalidInput,
@@ -162,8 +163,8 @@ def test_input_validation(th_gaps):
         check_sequence([2, 5], th_gaps, 0, QUANTIZED_BH)
     with pytest.raises(InvalidInput):
         check_sequence([2, 5], th_gaps, 2, "nope")
-    with pytest.raises(InvalidInput):
-        check_sequence(list(range(1, 23)), unit_thresholds(10**7), 1, QUANTIZED_BH)
+    with pytest.raises(BudgetExceeded):
+        check_sequence(list(range(1, 23)), unit_thresholds(10**7), 11, QUANTIZED_BH)
     with pytest.raises(InvalidInput):
         verified_sequence([3, 4], uniform_thresholds(3, 8), 1, QUANTIZED_BH)
 
@@ -399,8 +400,20 @@ def test_identity_sqlo_s_names_the_first_failing_element():
     report = check_sequence([1, 2, 4, 7, 8, 27], None, 2, SQLO_S)
     assert report.first_violation == "element 8 <= 11, the sum of {4,7}"
     assert check_sequence([1, 2, 4, 7, 12], None, 2, SQLO_S).passed
-    # no counting bound and no K limit without bins
+    # no counting bound without bins, and no limit on K alone
     assert check_sequence(list(range(1, 40)), None, 1, SQLO_L).passed
+
+
+def test_the_order_check_limits_the_subsets_it_lists():
+    # 22 singletons pass with thresholds; K alone is no limit
+    assert check_sequence(list(range(1, 23)), unit_thresholds(10**7), 1, QUANTIZED_BH)
+    # C(40, <= 20) subsets are refused before any is listed
+    with pytest.raises(BudgetExceeded, match="subsets to check, more than"):
+        check_base([2**i for i in range(40)], SUBSET_SUM_DISTINCT, 20)
+    assert check_base([2**i for i in range(20)], SUBSET_SUM_DISTINCT, 2)
+    # the window test lists none, and strong-lex(2) lists C(25, <= 2) = 325
+    assert base_recursive_superincreasing(20, 40).K == 40
+    assert strong_lex_base(25).K == 25
 
 
 def test_strong_lex_base_construction():
