@@ -15,10 +15,17 @@ from .quantization import as_int, as_ints
 
 @dataclass(frozen=True)
 class TestOutcome:
-    """A Q-ary result vector, optionally carrying injected-error metadata."""
+    """A Q-ary result vector, optionally carrying injected-error metadata.
+    Both pass the integer rule when the outcome is made."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", as_ints(self.y, "result value", InvalidBin))
+        object.__setattr__(
+            self, "error_positions", as_ints(self.error_positions, "error position")
+        )
 
     @property
     def clean(self) -> bool:

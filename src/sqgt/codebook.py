@@ -56,6 +56,7 @@ class DecoderPlan:
     """What every decode of one code needs, derived once from the code."""
 
     coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
+    row_masks: tuple[int, ...]  # the same rows, bit k for row k
     block_of: dict[int, int]  # multiplier value -> block index
     subset_in_bin: dict[int, frozenset[int]]  # quantized-bh only: bin -> subset
 
@@ -92,8 +93,10 @@ class SqgtCode:
             if self.sequence.kind == QUANTIZED_BH
             else []
         )
+        coords = tuple(tuple(np.flatnonzero(col).tolist()) for col in self.base.matrix.T)
         return DecoderPlan(
-            coords=tuple(tuple(np.flatnonzero(col).tolist()) for col in self.base.matrix.T),
+            coords=coords,
+            row_masks=tuple(sum(1 << k for k in rows) for rows in coords),
             block_of={a: j for j, a in enumerate(self.sequence.values)},
             subset_in_bin={quantize(self.thresholds, total): s for total, s in table},
         )

@@ -7,16 +7,15 @@ witness coordinates holds the sum of its multipliers, and the kind's
 ordering puts at most one subset of at most d multipliers there: quantized
 B_h codes look it up in a bin-to-subset table, the SQLO kinds find it with
 one knapsack call over the whole bin, so a decode costs O(K) per support
-whatever the bin width.  Per-code state (column supports, the block map,
-the table) comes from the code's shared plan, ``SqgtCode.plan``.
+whatever the bin width.  Per-code state (each base column's rows, as a
+tuple and as an int bitmask, the block map, the table) comes from the
+code's shared plan, ``SqgtCode.plan``; with the masks, support recovery
+is one popcount per base column.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
 
 from .channel import TestOutcome
 from .codebook import SqgtCode
@@ -32,69 +31,57 @@ class DecodedResult:
     warning: str | None = None
 
 
-def recover_support(y, base_matrix: np.ndarray, e: int) -> list[int]:
-    """Base columns whose nonzero coordinates exceed y in at most e places."""
-    y = np.asarray(_y_values(y))
-    if y.shape[0] != base_matrix.shape[0]:
-        raise InvalidInput(
-            f"result length {y.shape[0]} != base row count {base_matrix.shape[0]}"
-        )
-    violations = (base_matrix > y[:, None]).sum(axis=0)
-    return [int(i) for i in np.nonzero(violations <= e)[0]]
+def recover_support(y, code: SqgtCode) -> list[int]:
+    """Base columns whose nonzero coordinates exceed y in at most e places.
+    A binary entry exceeds y only where y is 0, so a column's count is the
+    number of y's zero rows in its row mask."""
+    zeros = sum([1 << k for k, v in enumerate(_result_values(y, code)) if not v])
+    e = code.e
+    return [i for i, rows in enumerate(code.plan.row_masks) if (zeros & rows).bit_count() <= e]
 
 
-def select_witness_coords(y, support: Sequence[int], e: int) -> list[int]:
-    """The 2e+1 support coordinates with the smallest result values, in
-    ascending order of value, ties broken by ascending coordinate index."""
-    need = 2 * e + 1
-    if len(support) < need:
+def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
+    """The 2e+1 coordinates of base column i with the smallest result values,
+    in ascending order of value, ties broken by ascending coordinate index."""
+    need = 2 * code.e + 1
+    coords = code.plan.coords[i]
+    if len(coords) < need:
         raise InvalidBase(
-            f"support of size {len(support)} cannot supply {need} witness coordinates"
+            f"base column {i} has {len(coords)} rows, too few for {need} witness coordinates"
         )
     # a stable sort of the ascending coordinates breaks ties by index
-    return sorted(sorted(support), key=_y_values(y).__getitem__)[:need]
-
-
-def _y_values(y) -> tuple[int, ...]:
-    """y as a tuple of ints; InvalidBin names an entry that is a bool or no
-    integer."""
-    return y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
+    return sorted(coords, key=_result_values(y, code).__getitem__)[:need]
 
 
 def _result_values(y, code: SqgtCode) -> tuple[int, ...]:
-    """y as a tuple of bin indices, each checked to lie in [0, Q)."""
-    yv = _y_values(y)
+    """y as a tuple of m bin indices, each in [0, Q).  A TestOutcome's values
+    passed the integer rule when it was made."""
+    yv = y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
+    if len(yv) != code.m:
+        raise InvalidInput(f"result length {len(yv)} != code row count {code.m}")
     if yv and (min(yv) < 0 or max(yv) >= code.thresholds.Q):
         raise InvalidBin(f"result values must lie in [0, {code.thresholds.Q})")
     return yv
-
-
-def _empty_result() -> DecodedResult:
-    return DecodedResult(
-        frozenset(), (), warning="no defectives recovered or contract violated"
-    )
-
-
-def _columns_for(code: SqgtCode, base_col: int, multipliers) -> set[int]:
-    block_of = code.plan.block_of
-    return {block_of[a] * code.base_n + base_col for a in multipliers}
 
 
 def decode(y, code: SqgtCode) -> DecodedResult:
     """Recover the supports, then each support's multiplier subset from the
     majority bin of its 2e+1 witness coordinates."""
     yv = _result_values(y, code)
-    # The helpers get y as given: a TestOutcome's values need no second check.
-    supports = recover_support(y, code.base.matrix, code.e)
+    # The stages get y as given: a TestOutcome's values need no second
+    # integer check.
+    supports = recover_support(y, code)
     if not supports:
-        return _empty_result()
+        return DecodedResult(
+            frozenset(), (), warning="no defectives recovered or contract violated"
+        )
     plan = code.plan
     eta = code.thresholds.eta
     e = code.e
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        witnesses = select_witness_coords(y, plan.coords[i], e)
+        witnesses = select_witness_coords(y, code, i)
         # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
         # is the middle one's.  Each kind puts at most one subset sum in it:
         # quantized B_d codes look it up, the SQLO kinds find it with one
@@ -116,6 +103,6 @@ def decode(y, code: SqgtCode) -> DecodedResult:
             )
         multipliers = tuple(sorted(subset))
         per_support.append((i, multipliers))
-        defectives |= _columns_for(code, i, multipliers)
+        defectives.update(plan.block_of[a] * code.base_n + i for a in multipliers)
     return DecodedResult(frozenset(defectives), tuple(per_support))
 

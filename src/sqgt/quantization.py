@@ -101,6 +101,7 @@ def load_thresholds(spec: str) -> Thresholds:
 
 def quantize(th: Thresholds, alpha: int) -> int:
     """Index of the bin containing alpha: eta[r] <= alpha < eta[r+1]."""
+    alpha = as_int(alpha, "value")
     if alpha < 0:
         raise OutOfRange(f"negative value {alpha}")
     if alpha >= th.top:

@@ -68,6 +68,15 @@ def support_signature(vectors) -> set[tuple[int, ...]]:
     return {tuple(1 if v else 0 for v in vec) for vec in vectors}
 
 
+def reference_supports(outcomes, code) -> list[list[int]]:
+    """The reference support rule, for each result vector: the base columns
+    whose entries exceed it in at most e rows."""
+    Y = np.array([o.y if isinstance(o, TestOutcome) else o for o in outcomes])
+    violations = (code.base.matrix[None, :, :] > Y[:, :, None]).sum(axis=1)
+    kept = (violations <= code.e).tolist()
+    return [[i for i, ok in enumerate(row) if ok] for row in kept]
+
+
 def oracle_decode(y, code) -> frozenset[int]:
     """Exhaustive maximum-agreement search over all candidate defective
     sets of size <= d; the independent reference for the decoder."""

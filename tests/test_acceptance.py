@@ -374,7 +374,7 @@ def test_criterion_10_negative_controls(acceptance_record, code_corpus, th_step3
                 truth = {c % code.base_n for c in D}
                 clean = syndrome(code, D)
                 for outcome in inject_exhaustive(clean, code.e, Q):
-                    got = set(recover_support(outcome.y, code.base.matrix, code.e))
+                    got = set(recover_support(outcome, code))
                     if not got <= truth:
                         over_accepts += 1
     support_ok = over_accepts == 0

@@ -4,42 +4,56 @@ import numpy as np
 import pytest
 
 from sqgt import (
+    QUANTIZED_BH,
+    BinaryDisjunctCode,
     DecodingFailure,
     InvalidBase,
     InvalidBin,
     InvalidInput,
+    build,
     decode,
     inject_exhaustive,
     recover_support,
     select_witness_coords,
     syndrome,
+    uniform_thresholds,
+    verified_sequence,
 )
 
-from oracles import oracle_decode
+from oracles import oracle_decode, reference_supports
 
 
 def _entry(code_corpus, name):
     return dict(code_corpus)[name]
 
 
+TH45 = uniform_thresholds(3, 15)
+
+
+def _code(rows, e):
+    """A d = 1 code on the base claimed by `rows`, trusted as given."""
+    base = BinaryDisjunctCode(np.array(rows), d=1, e=e)
+    return build(base, verified_sequence([3], TH45, 1, QUANTIZED_BH), TH45, 1)
+
+
 def test_recover_support_example():
-    base = np.array(
-        [[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 0]]
-    )
+    rows = [[1, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 0]]
     # y = (1, 0, 1, 1): column 2 places weight on the zero coordinate
-    assert recover_support((1, 0, 1, 1), base, 0) == [0, 1]
+    assert recover_support((1, 0, 1, 1), _code(rows, 0)) == [0, 1]
     # with e = 1 that single contradiction is forgiven
-    assert recover_support((1, 0, 1, 1), base, 1) == [0, 1, 2]
-    with pytest.raises(InvalidInput):
-        recover_support((1, 0), base, 0)
+    assert recover_support((1, 0, 1, 1), _code(rows, 1)) == [0, 1, 2]
+    for stage in (recover_support, decode):
+        with pytest.raises(InvalidInput, match="result length 2"):
+            stage((1, 0), _code(rows, 0))
 
 
 def test_select_witness_coords():
     # smallest result values win, ties broken by index
-    assert select_witness_coords((5, 1, 1, 2), [0, 1, 2, 3], 1) == [1, 2, 3]
-    assert select_witness_coords((5, 1, 1, 2), [0, 1, 2, 3], 0) == [1]
+    one_column = [[1]] * 4
+    assert select_witness_coords((5, 1, 1, 2), _code(one_column, 1), 0) == [1, 2, 3]
+    assert select_witness_coords((5, 1, 1, 2), _code(one_column, 0), 0) == [1]
     with pytest.raises(InvalidBase):
-        select_witness_coords((5, 1), [0, 1], 1)  # needs 3 coordinates
+        select_witness_coords((5, 1), _code([[1]] * 2, 1), 0)  # needs 3 coordinates
 
 
 def test_dec_qbh_round_trip(code_corpus):
@@ -74,7 +88,7 @@ def test_split_witnesses_fail_on_quantized_bh(code_corpus):
     # base column 0 owns rows 0-2; its three witnesses lie in three bins,
     # so no bin holds e + 1 = 2 of them
     y = (1, 2, 3) + (0,) * 9
-    assert recover_support(y, code.base.matrix, code.e) == [0]
+    assert recover_support(y, code) == [0]
     with pytest.raises(DecodingFailure, match="witness votes"):
         decode(y, code)
 
@@ -134,3 +148,12 @@ def test_decoders_match_oracle_with_errors(code_corpus):
         clean = syndrome(code, D)
         for outcome in inject_exhaustive(clean, 1, Q):
             assert decode(outcome, code).defectives == frozenset(D)
+    # support recovery keeps the reference rule on every exhaustive outcome
+    # of every corpus code
+    for name, code in code_corpus:
+        for size in range(1, code.d + 1):
+            for D in combinations(range(code.n), size):
+                clean = syndrome(code, D)
+                outcomes = list(inject_exhaustive(clean, code.e, code.thresholds.Q))
+                got = [recover_support(outcome, code) for outcome in outcomes]
+                assert got == reference_supports(outcomes, code), (name, D)

@@ -29,6 +29,7 @@ from sqgt import (
     inject_random,
     kautz_singleton,
     knapsack_solve,
+    quantize,
     random_code,
     replicated_identity,
     scaled_construction,
@@ -60,6 +61,9 @@ ENTRY_POINTS = {
     "inject_explicit position": (InvalidInput, lambda v: inject_explicit(Y, [(v, 5)], 8)),
     "inject_explicit value": (InvalidBin, lambda v: inject_explicit(Y, [(1, v)], 8)),
     "decode": (InvalidBin, lambda v: decode((v, 0), CODE)),
+    "TestOutcome y": (InvalidBin, lambda v: TestOutcome((v, 0))),
+    "TestOutcome error position": (InvalidInput, lambda v: TestOutcome((3, 0, 1, 2), (v,))),
+    "quantize": (InvalidInput, lambda v: quantize(TH, v)),
 }
 NOT_INTEGERS = (3.9, True, "3", np.float64(3.0))
 
