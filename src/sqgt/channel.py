@@ -16,16 +16,18 @@ from .quantization import as_int, as_ints
 @dataclass(frozen=True)
 class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
-    Both pass the integer rule when the outcome is made."""
+    Both pass the integer rule when the outcome is made, and each error
+    position must index y."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "y", as_ints(self.y, "result value", InvalidBin))
-        object.__setattr__(
-            self, "error_positions", as_ints(self.error_positions, "error position")
-        )
+        positions = as_ints(self.error_positions, "error position")
+        if positions and (min(positions) < 0 or max(positions) >= len(self.y)):
+            raise InvalidInput(f"error positions must lie in [0, {len(self.y)})")
+        object.__setattr__(self, "error_positions", positions)
 
     @property
     def clean(self) -> bool:

@@ -58,7 +58,8 @@ class DecoderPlan:
     coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
     row_masks: tuple[int, ...]  # the same rows, bit k for row k
     block_of: dict[int, int]  # multiplier value -> block index
-    subset_in_bin: dict[int, frozenset[int]]  # quantized-bh only: bin -> subset
+    # bin -> subset or None: whole for quantized-bh, filled by decode for SQLO
+    subset_in_bin: dict[int, frozenset[int] | None]
 
 
 @dataclass(frozen=True)

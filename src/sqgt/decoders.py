@@ -4,13 +4,14 @@ One decoder serves every kind.  A base column survives support recovery
 iff its nonzero coordinates are contradicted by the result vector in at
 most e places.  For each surviving column, the majority bin of its 2e+1
 witness coordinates holds the sum of its multipliers, and the kind's
-ordering puts at most one subset of at most d multipliers there: quantized
-B_h codes look it up in a bin-to-subset table, the SQLO kinds find it with
-one knapsack call over the whole bin, so a decode costs O(K) per support
-whatever the bin width.  Per-code state (each base column's rows, as a
-tuple and as an int bitmask, the block map, the table) comes from the
-code's shared plan, ``SqgtCode.plan``; with the masks, support recovery
-is one popcount per base column.
+ordering puts at most one subset of at most d multipliers there.  The
+plan's bin-to-subset table holds it: whole from the start for quantized
+B_h codes, filled for the SQLO kinds on a bin's first sight by one knapsack
+call over the whole bin, O(K) whatever the bin width.  Per-code state
+(each base column's rows, as a tuple and as an int bitmask, the block map,
+the table) comes from the code's shared plan, ``SqgtCode.plan``; with the
+masks, support recovery is one popcount per base column.  ``decode``
+checks y once; its stages check y only when called directly.
 """
 
 from __future__ import annotations
@@ -53,14 +54,23 @@ def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
     return sorted(coords, key=_result_values(y, code).__getitem__)[:need]
 
 
-def _result_values(y, code: SqgtCode) -> tuple[int, ...]:
+class _Checked(tuple):
+    """Result values that passed _result_values for the code in `.code`."""
+
+
+def _result_values(y, code: SqgtCode) -> _Checked:
     """y as a tuple of m bin indices, each in [0, Q).  A TestOutcome's values
-    passed the integer rule when it was made."""
+    passed the integer rule when it was made; values this function returned
+    for the same code pass unchecked."""
+    if type(y) is _Checked and y.code is code:
+        return y
     yv = y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
     if len(yv) != code.m:
         raise InvalidInput(f"result length {len(yv)} != code row count {code.m}")
     if yv and (min(yv) < 0 or max(yv) >= code.thresholds.Q):
         raise InvalidBin(f"result values must lie in [0, {code.thresholds.Q})")
+    yv = _Checked(yv)
+    yv.code = code
     return yv
 
 
@@ -68,35 +78,34 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     """Recover the supports, then each support's multiplier subset from the
     majority bin of its 2e+1 witness coordinates."""
     yv = _result_values(y, code)
-    # The stages get y as given: a TestOutcome's values need no second
-    # integer check.
-    supports = recover_support(y, code)
+    supports = recover_support(yv, code)
     if not supports:
         return DecodedResult(
             frozenset(), (), warning="no defectives recovered or contract violated"
         )
     plan = code.plan
+    table = plan.subset_in_bin
     eta = code.thresholds.eta
     e = code.e
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        witnesses = select_witness_coords(y, code, i)
+        witnesses = select_witness_coords(yv, code, i)
         # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
-        # is the middle one's.  Each kind puts at most one subset sum in it:
-        # quantized B_d codes look it up, the SQLO kinds find it with one
-        # solver call (bin 0 holds none, as every element is at least eta_1).
+        # is the middle one's.  Each kind puts at most one subset sum in it,
+        # held by the table; an SQLO bin is solved on its first sight (bin 0
+        # holds none, as every element is at least eta_1).
         r = yv[witnesses[e]]
         subset = None
         if sum(yv[j] == r for j in witnesses) > e:
-            if code.sequence.kind == QUANTIZED_BH:
-                subset = plan.subset_in_bin.get(r)
-            elif r:
-                subset = knapsack_solve(code.sequence, code.d, eta[r], eta[r + 1])
+            if r not in table and r and code.sequence.kind != QUANTIZED_BH:
+                found = knapsack_solve(code.sequence, code.d, eta[r], eta[r + 1])
                 # The exact call returns the same subset; the benchmark's
-                # tracer test pins two calls per support until it changes.
-                if subset is not None:
-                    subset = knapsack_solve(code.sequence, code.d, sum(subset))
+                # tracer test pins two calls on a fresh code's first decode.
+                if found is not None:
+                    found = knapsack_solve(code.sequence, code.d, sum(found))
+                table[r] = found
+            subset = table.get(r)
         if subset is None:
             raise DecodingFailure(
                 f"support column {i}: no candidate sum reached {e + 1} witness votes"

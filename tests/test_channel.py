@@ -129,6 +129,14 @@ def test_outcome_json():
     assert '"errors": [[1, 5]]' in hit.to_json()
 
 
+@pytest.mark.parametrize("position", [5, 2, -1])
+def test_outcome_rejects_error_positions_outside_y(position):
+    # 5 used to raise an untyped IndexError from to_json, -1 to report the
+    # error at the last coordinate
+    with pytest.raises(InvalidInput, match=r"error positions must lie in \[0, 2\)"):
+        TestOutcome((3, 0), (position,))
+
+
 def test_clean_follows_the_error_positions():
     assert TestOutcome((3, 5, 1)).clean
     assert not TestOutcome((3, 5, 1), (1,)).clean
