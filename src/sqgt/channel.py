@@ -53,7 +53,7 @@ def syndromes(code, sets) -> np.ndarray:
         row = sums[int((sums.max(axis=1) >= eta[-1]).argmax())]
         k = int(row.argmax())
         raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {eta[-1]}")
-    return np.searchsorted(eta, sums, side="right") - 1
+    return np.searchsorted(code.thresholds.array, sums, side="right") - 1
 
 
 def syndrome(code, defectives: Iterable[int]) -> TestOutcome:

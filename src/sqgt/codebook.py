@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, cycle
 
 import numpy as np
 
@@ -175,6 +175,22 @@ def build(
     )
 
 
+def _group_weights(code: SqgtCode, count: int) -> np.ndarray:
+    """m x count weights giving each group of coordinates a key: its bins in
+    radix Q|1 mod 2**64.  Each base column deals its unplaced rows to the
+    groups it has not met, least-filled first.  A row no column covers joins none."""
+    group, fill = [-1] * code.m, [0] * count
+    weights = np.zeros((code.m, count), dtype=np.uint64)
+    for column in code.base.matrix.T.tolist():
+        rows = [k for k, v in enumerate(column) if v]
+        met = {group[k] for k in rows}
+        ranked = sorted(range(count), key=lambda g: (g in met, fill[g])) if -1 in met else ()
+        for k, g in zip([k for k in rows if group[k] < 0], cycle(ranked)):
+            group[k], weights[k, g] = g, pow(code.thresholds.Q | 1, fill[g], 2**64)
+            fill[g] += 1
+    return weights
+
+
 def verify_sq_separable(
     code: SqgtCode,
     l: int,
@@ -183,7 +199,12 @@ def verify_sq_separable(
     budget: int = DEFAULT_SEPARABILITY_BUDGET,
 ) -> bool:
     """Exhaustive check: result vectors of any two distinct column sets
-    with sizes in [l, u] differ in >= 2e+1 coordinates."""
+    with sizes in [l, u] differ in >= 2e+1 coordinates.
+
+    Only vectors equal on one of 2e+1 disjoint groups of coordinates are
+    compared in full.  This is exact: two vectors that differ in at most 2e
+    coordinates leave a group untouched (pigeonhole), so they share a run of
+    its sorted keys.  A wrapped key only adds pairs to compare."""
     l, e = as_int(l, "l", 1), as_int(e, "e", 0)
     u, budget = as_int(u, "u", l, code.n), as_int(budget, "budget", 0)
     num_sets = sum(math.comb(code.n, s) for s in range(l, u + 1))
@@ -192,28 +213,23 @@ def verify_sq_separable(
             f"{num_sets} sets -> ~{num_sets**2 * code.m} coordinate comparisons "
             f"exceed budget {budget}"
         )
-    rows = np.concatenate([
-        syndromes(code, list(combinations(range(code.n), size)))
-        for size in range(l, u + 1)
-    ])
-    if e == 0:
-        return len(np.unique(rows, axis=0)) == len(rows)
+    rows = np.concatenate([syndromes(code, np.fromiter(
+        chain.from_iterable(combinations(range(code.n), s)), np.intp, math.comb(code.n, s) * s,
+    ).reshape(-1, s)) for s in range(l, u + 1)])
     need = 2 * e + 1
-    # Distances of each block of rows to all later rows, added up one
-    # coordinate at a time in the narrowest integer types that hold them.
-    cols = rows.T.astype(np.min_scalar_type(code.thresholds.Q - 1), order="C")
-    count = np.min_scalar_type(max(code.m, need))
-    total = len(rows)
-    chunk = max(1, 2**18 // total)
-    for start in range(0, total, chunk):
-        stop = min(total, start + chunk)
-        dist = np.zeros((stop - start, total - start), dtype=count)
-        for col in cols:
-            dist += col[start:stop, None] != col[None, start:]
-        own = np.arange(stop - start)
-        dist[own, own] = need  # self-comparison
-        if int(dist.min()) < need:
+    if code.m < need:  # two vectors differ in at most m < 2e+1 coordinates
+        return len(rows) < 2
+    keys = (rows.astype(np.uint64) @ _group_weights(code, need)).T
+    order, keys = keys.argsort(axis=1).ravel(), np.sort(keys, axis=1)
+    # same[i]: sorted places i and i + 1 hold equal keys of one group
+    same = np.hstack([keys[:, 1:] == keys[:, :-1], np.zeros((need, 1), bool)]).ravel()
+    rows = rows.astype(np.min_scalar_type(code.thresholds.Q - 1))[order]  # in key order
+    active, t = np.flatnonzero(same), 1  # the places i with equal keys at i + t
+    while active.size:
+        if np.count_nonzero(rows[active] != rows[active + t], axis=1).min() < need:
             return False
+        active = active[same[active + t]]
+        t += 1
     return True
 
 

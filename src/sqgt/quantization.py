@@ -13,6 +13,9 @@ import json
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InvalidInput, OutOfRange
 
@@ -66,6 +69,11 @@ class Thresholds:
     @property
     def Q(self) -> int:
         return len(self.eta) - 1
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """eta as a numpy array, made once for the vectorised quantizer."""
+        return np.array(self.eta)
 
     @property
     def top(self) -> int:

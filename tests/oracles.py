@@ -3,6 +3,7 @@ shares code with the routes it checks, except that the base scan tries
 its candidates with check_base, which is itself checked against the
 pairwise definitions."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -98,6 +99,25 @@ def oracle_decode(y, code) -> frozenset[int]:
     if best is None or best[0] < code.m - code.e or tied:
         raise DecodingFailure("no unique candidate set within the error budget")
     return best[1]
+
+
+def min_distance_by_syndrome(code, l, u):
+    """Smallest distance between result vectors of distinct sets of l..u
+    columns, one syndrome() call per set (inf for a single set); the
+    OutOfRange message if a set overflows."""
+    try:
+        rows = np.array([
+            syndrome(code, s).y
+            for size in range(l, u + 1)
+            for s in combinations(range(code.n), size)
+        ])
+    except OutOfRange as exc:
+        return str(exc)
+    if len(rows) < 2:
+        return math.inf
+    dist = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
+    np.fill_diagonal(dist, code.m + 1)
+    return int(dist.min())
 
 
 def scan_base(family: str, h: int, K_target: int) -> tuple[int, ...]:

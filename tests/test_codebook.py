@@ -1,6 +1,5 @@
 import json
 import math
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -27,14 +26,15 @@ from sqgt import (
     pair_sequence,
     replicated_identity,
     save_code,
-    syndrome,
     unit_thresholds,
     uniform_thresholds,
     verified_sequence,
     verify_disjunct,
     verify_sq_separable,
 )
-from sqgt.codebook import matrix_from_text
+from sqgt.codebook import _group_weights, matrix_from_text
+
+from oracles import min_distance_by_syndrome
 
 
 def _entry(code_corpus, name):
@@ -143,23 +143,6 @@ def test_verify_sq_separable_budget(code_corpus):
         verify_sq_separable(code, 1, 2, -1)
 
 
-def _min_distance_by_syndrome(code, l, u):
-    """Smallest distance between result vectors of distinct sets of l..u
-    columns, one syndrome() call per set; the OutOfRange message if a set
-    overflows."""
-    try:
-        rows = np.array([
-            syndrome(code, s).y
-            for size in range(l, u + 1)
-            for s in combinations(range(code.n), size)
-        ])
-    except OutOfRange as exc:
-        return str(exc)
-    dist = (rows[:, None, :] != rows[None, :, :]).sum(axis=2)
-    np.fill_diagonal(dist, code.m + 1)
-    return int(dist.min())
-
-
 @pytest.mark.parametrize("name", [
     "qbh-ks3-d2", "qbh-rep4-d2-e1", "sqs-i3-d1", "sqs-rep3-d2-e1-perm",
     "sqs-ks3-tall-d2", "sql-i4-d2", "sql-rep3-d2-e1", "sql-ks3-d2",
@@ -168,7 +151,7 @@ def test_verify_sq_separable_matches_syndrome_loop(code_corpus, name):
     code = _entry(code_corpus, name)
     for l, u in ((1, code.d), (1, code.d + 1), (2, code.d + 1)):
         u = min(u, code.n)
-        expected = _min_distance_by_syndrome(code, l, u)
+        expected = min_distance_by_syndrome(code, l, u)
         for e in (0, 1, 2):
             if isinstance(expected, str):
                 with pytest.raises(OutOfRange) as info:
@@ -176,6 +159,102 @@ def test_verify_sq_separable_matches_syndrome_loop(code_corpus, name):
                 assert str(info.value) == expected
             else:
                 assert verify_sq_separable(code, l, u, e) == (expected >= 2 * e + 1)
+
+
+def _direct_code(base_matrix, multipliers, eta):
+    """A code made straight from its parts: no disjunctness, sequence or
+    headroom check, so it may be far from separable or overflow."""
+    base = BinaryDisjunctCode(np.asarray(base_matrix, dtype=int), d=1, e=0)
+    seq = MultiplierSequence(tuple(multipliers), QUANTIZED_BH, 1, None)
+    matrix = np.hstack([a * base.matrix for a in multipliers])
+    return SqgtCode(matrix, Thresholds(tuple(eta)), seq, base, 1, 0, max(multipliers) + 1)
+
+
+def _random_base(rng, shape):
+    m, n = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+    if shape == "tiled":
+        side = int(rng.integers(1, 5))
+        return np.tile(np.eye(side, dtype=int), (int(rng.integers(1, 4)), 1))
+    if shape == "narrow":  # m <= 3 < 2e+1 for e >= 2
+        m = int(rng.integers(1, 4))
+    matrix = (rng.random((m, n)) < rng.uniform(0.15, 0.8)).astype(int)
+    if shape == "zero-rows":
+        matrix[rng.random(m) < 0.5] = 0
+    return matrix
+
+
+@pytest.mark.parametrize("shape", ["random", "tiled", "zero-rows", "narrow"])
+def test_verify_sq_separable_matches_brute_force_on_random_codes(shape):
+    # unverified codes, most of them not separable, some overflowing and
+    # some with a single result vector, against pairwise distances
+    rng = np.random.default_rng(["random", "tiled", "zero-rows", "narrow"].index(shape))
+    verdicts = set()
+    for _ in range(200):
+        base = _random_base(rng, shape)
+        K = int(rng.integers(1, 4))
+        multipliers = sorted(rng.choice(np.arange(1, 13), size=K, replace=False).tolist())
+        eta = np.cumsum([0, *rng.integers(1, 5, size=int(rng.integers(3, 30)))])
+        code = _direct_code(base, multipliers, eta.tolist())
+        l = int(rng.integers(1, min(3, code.n) + 1))
+        u = int(rng.integers(l, min(3, code.n) + 1))
+        expected = min_distance_by_syndrome(code, l, u)
+        for e in range(4):
+            if isinstance(expected, str):
+                with pytest.raises(OutOfRange) as info:
+                    verify_sq_separable(code, l, u, e)
+                assert str(info.value) == expected
+                verdicts.add("overflow")
+            else:
+                got = verify_sq_separable(code, l, u, e)
+                assert got == (expected >= 2 * e + 1), (base.tolist(), multipliers, eta, l, u, e)
+                verdicts.add(got)
+    assert verdicts == {True, False, "overflow"}
+
+
+def test_verify_sq_separable_single_result_vector():
+    code = _direct_code([[1]], [3], [0, 2, 5, 9])
+    assert verify_sq_separable(code, 1, 1, 3)
+    code = _direct_code([[1, 0], [0, 1]], [3], [0, 2, 5, 9])
+    assert verify_sq_separable(code, 2, 2, 0)
+
+
+def test_verify_sq_separable_compares_every_pair_of_a_run():
+    # the one close pair, {0} and {3, 4} at distance 2, shares a run of
+    # equal keys with vectors far from both, so the two need not be
+    # neighbours in the sorted order
+    base = [[1, 0, 0, 0, 1], [1, 1, 1, 1, 0], [1, 0, 1, 1, 0], [1, 1, 0, 1, 0],
+            [1, 0, 1, 0, 1], [0, 1, 1, 1, 1], [0, 0, 1, 1, 0], [1, 1, 1, 0, 1]]
+    code = _direct_code(base, [1], range(40))
+    assert min_distance_by_syndrome(code, 1, 2) == 2
+    assert not verify_sq_separable(code, 1, 2, 1)
+    assert verify_sq_separable(code, 1, 2, 0)
+
+
+@pytest.mark.parametrize("base", [
+    np.tile(np.eye(3, dtype=int), (3, 1)),
+    np.tile(np.eye(6, dtype=int), (3, 1)),
+    replicated_identity(4, 3).matrix,
+])
+def test_group_weights_spread_every_column_over_all_groups(base):
+    # the filter compares only vectors equal on a whole group; a column
+    # whose rows all share one group leaves every other group equal for
+    # sets that differ only in that column
+    code = _direct_code(base, [3, 6], uniform_thresholds(3, 15).eta)
+    in_group = _group_weights(code, 3) != 0
+    assert (in_group.sum(axis=1) == 1).all()
+    for column in base.T:
+        assert in_group[column == 1].any(axis=0).all()
+    expected = min_distance_by_syndrome(code, 1, 2)
+    assert verify_sq_separable(code, 1, 2, 1) == (expected >= 3)
+
+
+def test_group_weights_leave_no_group_empty():
+    base = kautz_singleton(5, 2, 2).matrix
+    code = _direct_code(base, [3], uniform_thresholds(3, 15).eta)
+    in_group = _group_weights(code, 3) != 0
+    assert in_group.any(axis=0).all()
+    expected = min_distance_by_syndrome(code, 1, 2)
+    assert verify_sq_separable(code, 1, 2, 1) == (expected >= 3)
 
 
 def test_feasibility_report_counting_bound():
@@ -297,7 +376,7 @@ def test_verify_sq_separable_bins_above_255():
     seq = verified_sequence([1, 257], th, 2, SQLO_S)
     code = build(replicated_identity(3, 3), seq, th, 2, "strict")
     for u in (1, 2):
-        expected = _min_distance_by_syndrome(code, 1, u)
+        expected = min_distance_by_syndrome(code, 1, u)
         assert expected >= 3
         assert verify_sq_separable(code, 1, u, 1)
         assert verify_sq_separable(code, 1, u, 2) == (expected >= 5)

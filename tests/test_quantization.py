@@ -98,3 +98,12 @@ def test_monotone_over_full_range(th):
     assert bins == sorted(bins)
     assert bins[0] == 0
     assert bins[-1] == th.Q - 1
+
+
+def test_thresholds_array_is_made_once_and_is_not_a_field(th_gaps):
+    # the quantizer's array form, held by the thresholds so that no
+    # syndrome converts the tuple again; equality and hashing ignore it
+    assert th_gaps.array is th_gaps.array
+    assert th_gaps.array.tolist() == list(th_gaps.eta)
+    fresh = Thresholds(th_gaps.eta)
+    assert fresh == th_gaps and hash(fresh) == hash(th_gaps)
