@@ -98,9 +98,8 @@ def cmd_code_build(args) -> int:
 
 def cmd_code_verify(args) -> int:
     code = codebook.load_code(args.code)
-    ok = codebook.verify_sq_separable(
-        code, args.l, args.u, args.e, budget=args.budget
-    )
+    u, e = (code.d if args.u is None else args.u), (code.e if args.e is None else args.e)
+    ok = codebook.verify_sq_separable(code, args.l, u, e)
     _emit({"pass": ok}, args.json, "pass" if ok else "fail")
     return 0 if ok else 1
 
@@ -232,9 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = code.add_parser("verify")
     p.add_argument("--code", required=True)
     p.add_argument("--l", type=int, default=1)
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--e", type=int, default=0)
-    p.add_argument("--budget", type=int, default=codebook.DEFAULT_SEPARABILITY_BUDGET)
+    p.add_argument("--u", type=int, help="default: the code's d")
+    p.add_argument("--e", type=int, help="default: the code's e")
     p.set_defaults(func=cmd_code_verify)
 
     p = sub.add_parser("syndrome")

@@ -48,7 +48,7 @@ from .sequences import (
 STRICT = "strict"
 PERMISSIVE = "permissive"
 
-DEFAULT_SEPARABILITY_BUDGET = 10**8
+MAX_SEPARABILITY_CELLS = 10**7  # result-vector coordinates one check holds, or compares
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,8 @@ def build(
     d = as_int(d, "d", 1)
     if seq.h < d:
         raise ParameterError(f"sequence verified for h={seq.h} < d={d}")
+    if d > base.n * len(seq.values):
+        raise ParameterError(f"d={d} exceeds the code's {base.n * len(seq.values)} columns")
     # Disjunctness is vacuous for d > n-1: there are no d-subsets of other
     # columns to cover a codeword, so any base qualifies there.
     if base.d < d and d <= base.n - 1:
@@ -191,27 +193,23 @@ def _group_weights(code: SqgtCode, count: int) -> np.ndarray:
     return weights
 
 
-def verify_sq_separable(
-    code: SqgtCode,
-    l: int,
-    u: int,
-    e: int,
-    budget: int = DEFAULT_SEPARABILITY_BUDGET,
-) -> bool:
+def verify_sq_separable(code: SqgtCode, l: int, u: int, e: int) -> bool:
     """Exhaustive check: result vectors of any two distinct column sets
     with sizes in [l, u] differ in >= 2e+1 coordinates.
 
     Only vectors equal on one of 2e+1 disjoint groups of coordinates are
     compared in full.  This is exact: two vectors that differ in at most 2e
     coordinates leave a group untouched (pigeonhole), so they share a run of
-    its sorted keys.  A wrapped key only adds pairs to compare."""
+    its sorted keys.  A wrapped key only adds pairs to compare.  BudgetExceeded
+    refuses to hold more than MAX_SEPARABILITY_CELLS vector coordinates (about
+    23 bytes of peak memory each), or to compare more in the runs."""
     l, e = as_int(l, "l", 1), as_int(e, "e", 0)
-    u, budget = as_int(u, "u", l, code.n), as_int(budget, "budget", 0)
+    u = as_int(u, "u", l, code.n)
     num_sets = sum(math.comb(code.n, s) for s in range(l, u + 1))
-    if num_sets * num_sets * code.m > budget:
+    if num_sets * code.m > MAX_SEPARABILITY_CELLS:
         raise BudgetExceeded(
-            f"{num_sets} sets -> ~{num_sets**2 * code.m} coordinate comparisons "
-            f"exceed budget {budget}"
+            f"{num_sets} sets -> {num_sets * code.m} result-vector cells held "
+            f"exceed {MAX_SEPARABILITY_CELLS}"
         )
     rows = np.concatenate([syndromes(code, np.fromiter(
         chain.from_iterable(combinations(range(code.n), s)), np.intp, math.comb(code.n, s) * s,
@@ -224,8 +222,13 @@ def verify_sq_separable(
     # same[i]: sorted places i and i + 1 hold equal keys of one group
     same = np.hstack([keys[:, 1:] == keys[:, :-1], np.zeros((need, 1), bool)]).ravel()
     rows = rows.astype(np.min_scalar_type(code.thresholds.Q - 1))[order]  # in key order
-    active, t = np.flatnonzero(same), 1  # the places i with equal keys at i + t
+    active, t, compared = np.flatnonzero(same), 1, 0  # places i with equal keys at i + t
     while active.size:
+        compared += active.size * code.m
+        if compared > MAX_SEPARABILITY_CELLS:
+            raise BudgetExceeded(
+                f"offset {t} -> {compared} cells compared exceed {MAX_SEPARABILITY_CELLS}"
+            )
         if np.count_nonzero(rows[active] != rows[active + t], axis=1).min() < need:
             return False
         active = active[same[active + t]]

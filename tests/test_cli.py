@@ -126,6 +126,19 @@ def test_code_build_verify_syndrome_decode(capsys, tmp_path):
     assert rc == 0 and out.strip() == "1 3"
 
 
+def test_code_verify_checks_the_codes_own_claim_by_default(capsys, tmp_path):
+    # n = 75, d = 2, e = 1: with no --u or --e, verify checks u = d and e = 1
+    prefix = str(tmp_path / "ks5")
+    rc, _ = run(
+        capsys, "code", "build", "--thresholds", json.dumps(list(range(0, 121, 3))),
+        "--base", "ks:5,2", "--base-d", "2", "--kind", "sqlo-s", "--h", "2", "--K", "3",
+        "--d", "2", "--out", prefix,
+    )
+    assert rc == 0
+    rc, out = run(capsys, "code", "verify", "--code", prefix + ".json")
+    assert rc == 0 and out.strip() == "pass"
+
+
 def test_decode_failure_exit_code(capsys, tmp_path):
     prefix = build_demo_code(capsys, tmp_path)
     # bin [30, 33) contains no representable subset sum

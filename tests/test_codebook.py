@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sqgt import (
     Thresholds,
     build,
     feasibility_report,
+    greedy_generate,
     identity_code,
     kautz_singleton,
     load_code,
@@ -105,6 +107,18 @@ def test_build_vacuous_disjunctness(th_step3_tall):
     assert code.d == 2
 
 
+def test_build_rejects_d_above_the_column_count(tmp_path, edit_json):
+    # on 2 columns a d = 3 campaign ran, and the check at u = d raised
+    th = uniform_thresholds(3, 15)
+    seq = verified_sequence([3], th, 3, QUANTIZED_BH)
+    with pytest.raises(ParameterError, match="d=3 exceeds the code's 2 columns"):
+        build(identity_code(2), seq, th, 3)
+    path = save_code(build(identity_code(2), seq, th, 2), str(tmp_path / "code"))
+    edit_json(path, "d", value=3)
+    with pytest.raises(CorruptCode, match="d=3 exceeds the code's 2 columns"):
+        load_code(path)
+
+
 def test_build_revalidates_other_thresholds(th_step3_tall, th_gaps):
     seq = verified_sequence([3, 6, 12], th_step3_tall, 2, QUANTIZED_BH)
     with pytest.raises(ParameterError):
@@ -133,10 +147,35 @@ def test_verify_sq_separable_duplicate_columns(th_step3_tall):
     assert not verify_sq_separable(code, 1, 1, 0)
 
 
+def _ks_sqlo_s_code(base, K):
+    """d = 2, greedy SQLO_s with h = 2 on uniform_thresholds(3, 40)."""
+    th = uniform_thresholds(3, 40)
+    return build(base, greedy_generate(th, 2, K, SQLO_S), th, 2)
+
+
+@pytest.mark.parametrize("q, K", [(5, 3), (7, 2)])
+def test_verify_sq_separable_decides_codes_past_an_all_pairs_budget(q, K):
+    # n = 75 and 98: all pairs would be 2.0e8 and 1.2e9 coordinate
+    # comparisons, but the runs of equal group keys hold 2.2e5 and 9.5e6
+    code = _ks_sqlo_s_code(kautz_singleton(q, 2, 2), K)
+    assert verify_sq_separable(code, 1, 2, code.e)
+
+
 def test_verify_sq_separable_budget(code_corpus):
+    base = kautz_singleton(11, 2, 2)
+    # n = 484, m = 121: 117,370 sets hold 1.4e7 cells, refused before any
+    # is built (just past the limit, so a broken check costs ~0.3 GB, no more)
+    code = _ks_sqlo_s_code(base, 4)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="14201770 result-vector cells held"):
+        verify_sq_separable(code, 1, 2, code.e)
+    assert time.perf_counter() - start < 0.1
+    # n = 242, e = 4: 3.6e6 cells held, but the first run offset alone
+    # would compare 2.6e7 (unlimited, the check takes 3.3e9 and seconds)
+    code = _ks_sqlo_s_code(base, 2)
+    with pytest.raises(BudgetExceeded, match="offset 1 -> 26044524 cells compared"):
+        verify_sq_separable(code, 1, 2, code.e)
     code = _entry(code_corpus, "qbh-i3-d2")
-    with pytest.raises(BudgetExceeded):
-        verify_sq_separable(code, 1, 2, 0, budget=10)
     with pytest.raises(InvalidInput):
         verify_sq_separable(code, 0, 2, 0)
     with pytest.raises(InvalidInput):

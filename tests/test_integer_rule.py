@@ -149,9 +149,6 @@ SCALARS = {
     "verify_sq_separable l": (lambda v: verify_sq_separable(CODE, v, 2, 0), 1, 0, None),
     "verify_sq_separable u": (lambda v: verify_sq_separable(CODE, 1, v, 0), 2, 0, 5),
     "verify_sq_separable e": (lambda v: verify_sq_separable(CODE, 1, 2, v), 1, -1, None),
-    "verify_sq_separable budget": (
-        lambda v: verify_sq_separable(CODE, 1, 2, 0, v), 10**4, -1, None
-    ),
     "feasibility_report n": (lambda v: feasibility_report(n=v, d=2, Q=4), 10, 0, None),
     "feasibility_report d": (lambda v: feasibility_report(n=10, d=v, Q=4), 2, 0, 11),
     "feasibility_report Q": (lambda v: feasibility_report(n=10, d=2, Q=v), 4, 1, None),
