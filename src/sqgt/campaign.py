@@ -110,7 +110,7 @@ def simulate_campaign(
     e_inject = code.e if e_inject is None else as_int(e_inject, "e_inject", 0)
     samples_per_set = as_int(samples_per_set, "samples_per_set", 1)
     budget = None if budget is None else as_int(budget, "budget", 0)
-    workers = as_int(workers, "workers", 1)
+    workers, seed = as_int(workers, "workers", 1), as_int(seed, "seed", 0)
     start = time.perf_counter()
     sets = list(enumerate(_defective_sets(code, code.d)))
     summary = CampaignSummary()

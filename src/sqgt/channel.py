@@ -16,17 +16,16 @@ from .quantization import as_int, as_ints
 @dataclass(frozen=True)
 class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
-    Both pass the integer rule when the outcome is made, and each error
-    position must index y."""
+    Both pass the integer rule when the outcome is made, which bounds each
+    error position to index y."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "y", as_ints(self.y, "result value", InvalidBin))
-        positions = as_ints(self.error_positions, "error position")
-        if positions and (min(positions) < 0 or max(positions) >= len(self.y)):
-            raise InvalidInput(f"error positions must lie in [0, {len(self.y)})")
+        y = as_ints(self.y, "result value", InvalidBin)
+        positions = as_ints(self.error_positions, "error position", least=0, most=len(y) - 1)
+        object.__setattr__(self, "y", y)
         object.__setattr__(self, "error_positions", positions)
 
     @property
@@ -58,26 +57,22 @@ def syndromes(code, sets) -> np.ndarray:
 
 def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
     """Quantized coordinate-wise sum of the defective columns."""
-    idx = sorted(set(as_ints(defectives, "column index")))
+    n = code.matrix.shape[1]
+    idx = sorted(set(as_ints(defectives, "column index", least=0, most=n - 1)))
     if not idx:
         raise InvalidInput("defective set must be nonempty")
-    n = code.matrix.shape[1]
-    if idx[0] < 0 or idx[-1] >= n:
-        raise InvalidInput(f"column index outside [0, {n})")
     return TestOutcome(tuple(syndromes(code, [idx])[0].tolist()))
 
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
-    """Apply an explicit list of (coordinate, new value) changes."""
-    changes, Q = list(changes), as_int(Q, "Q", 1)
-    positions = as_ints((pos for pos, _ in changes), "error position")
-    values = as_ints((val for _, val in changes), "error value", InvalidBin)
-    y = list(outcome.y)
+    """Apply an explicit list of (coordinate, new value) changes, at most
+    one per coordinate."""
+    changes, Q, y = list(changes), as_int(Q, "Q", 1), list(outcome.y)
+    positions = as_ints((pos for pos, _ in changes), "error position", InvalidInput, 0, len(y) - 1)
+    values = as_ints((val for _, val in changes), "error value", InvalidBin, 0, Q - 1)
     for pos, val in zip(positions, values):
-        if not 0 <= pos < len(y):
-            raise InvalidInput(f"error position {pos} outside [0, {len(y)})")
-        if not 0 <= val < Q:
-            raise InvalidInput(f"error value {val} outside [0, {Q})")
+        if y[pos] != outcome.y[pos]:  # every change changes its coordinate
+            raise InvalidInput(f"error position {pos} given twice")
         if val == y[pos]:
             raise InvalidInput(f"value at position {pos} unchanged; not an error")
         y[pos] = val
@@ -108,8 +103,9 @@ def inject_random(
 ) -> Iterator[TestOutcome]:
     """Deterministic seeded sampling of <= e-error patterns; at most m
     coordinates can change.  The seed is an int or a tuple of ints, such as
-    a campaign's (seed, defective-set index)."""
+    a campaign's (seed, defective-set index), each at least 0."""
     e, Q, count = as_int(e, "e", 0), as_int(Q, "Q", 1), as_int(count, "count", 0)
+    seed = as_ints(seed, "seed", least=0) if isinstance(seed, tuple) else as_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     m = len(outcome.y)
     for _ in range(count):

@@ -16,7 +16,7 @@ from . import campaign, codebook, decoders, sequences
 from .channel import TestOutcome, inject_exhaustive, inject_explicit, syndrome
 from .codebook import _field
 from .errors import DecodingFailure, InvalidInput, SqgtError
-from .quantization import load_thresholds
+from .quantization import as_int, load_thresholds
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -151,9 +151,7 @@ def cmd_simulate(args) -> int:
     cfg = _read_json(args.config)
     code = codebook.code_from_config(cfg)
     err = _field(cfg, "errors", (dict,), default={})
-    samples = _field(err, "samples", (int,), "errors.", 10)
-    if samples < 1:
-        raise InvalidInput(f"key 'errors.samples' must be >= 1, got {samples}")
+    samples = as_int(_field(err, "samples", (int,), "errors.", 10), "key 'errors.samples'", 1)
     summary = campaign.simulate_campaign(
         code,
         e_inject=_field(err, "e", (int,), "errors.", None),

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SqgtError,
 )
-from .quantization import Thresholds, as_int, load_thresholds, quantize
+from .quantization import Thresholds, as_int, as_ints, load_thresholds, quantize
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
@@ -281,7 +281,7 @@ def feasibility_report(
 # --- matrix text format of file: bases: "m n q" header, then m rows over [q] ---
 
 
-def matrix_from_text(text: str) -> tuple[np.ndarray, int]:
+def matrix_from_text(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidInput("empty matrix file")
@@ -297,9 +297,8 @@ def matrix_from_text(text: str) -> tuple[np.ndarray, int]:
         raise InvalidInput(f"matrix rows are not {n} integers each") from exc
     if matrix.shape != (m, n):
         raise InvalidInput("row lengths disagree with header")
-    if matrix.min() < 0 or matrix.max() >= q:
-        raise InvalidInput(f"entries outside [0, {q})")
-    return matrix, q
+    as_ints(matrix.ravel().tolist(), "matrix entry", least=0, most=q - 1)
+    return matrix
 
 
 # --- code descriptions: the one path from a description to build() ---
@@ -330,7 +329,7 @@ def _base_from_spec(spec: str, d: int | None, e: int | None) -> BinaryDisjunctCo
         if d is None or e is None:
             raise InvalidInput("a file: base needs base.d and base.e")
         with open(rest) as fh:
-            return user_code(matrix_from_text(fh.read())[0], d, e)
+            return user_code(matrix_from_text(fh.read()), d, e)
     try:
         nums = [float(v) if i == 2 else int(v) for i, v in enumerate(rest.split(","))]
         if min(nums) < 0:

@@ -11,7 +11,7 @@ call over the whole bin, O(K) whatever the bin width.  Per-code state
 (each base column's rows, as a tuple and as an int bitmask, the block map,
 the table) comes from the code's shared plan, ``SqgtCode.plan``; with the
 masks, support recovery is one popcount per base column.  ``decode``
-checks y once; its stages check y only when called directly.
+checks y once; its stages check y, and i, only when called directly.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .channel import TestOutcome
 from .codebook import SqgtCode
 from .errors import DecodingFailure, InvalidBase, InvalidBin, InvalidInput
-from .quantization import as_ints
+from .quantization import as_int, as_ints
 from .sequences import QUANTIZED_BH, knapsack_solve
 
 
@@ -44,6 +44,9 @@ def recover_support(y, code: SqgtCode) -> list[int]:
 def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
     """The 2e+1 coordinates of base column i with the smallest result values,
     in ascending order of value, ties broken by ascending coordinate index."""
+    yv = _result_values(y, code)
+    if yv is not y:  # called directly, not by decode with a support column
+        i = as_int(i, "i", 0, code.base_n - 1)
     need = 2 * code.e + 1
     coords = code.plan.coords[i]
     if len(coords) < need:
@@ -51,7 +54,7 @@ def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
             f"base column {i} has {len(coords)} rows, too few for {need} witness coordinates"
         )
     # a stable sort of the ascending coordinates breaks ties by index
-    return sorted(coords, key=_result_values(y, code).__getitem__)[:need]
+    return sorted(coords, key=yv.__getitem__)[:need]
 
 
 class _Checked(tuple):
@@ -67,8 +70,10 @@ def _result_values(y, code: SqgtCode) -> _Checked:
     yv = y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
     if len(yv) != code.m:
         raise InvalidInput(f"result length {len(yv)} != code row count {code.m}")
+    # The values are ints by now, and a second type scan costs about 5 % of a
+    # decode: min and max bound them, and as_ints only names the culprit.
     if yv and (min(yv) < 0 or max(yv) >= code.thresholds.Q):
-        raise InvalidBin(f"result values must lie in [0, {code.thresholds.Q})")
+        as_ints(yv, "result value", InvalidBin, 0, code.thresholds.Q - 1)
     yv = _Checked(yv)
     yv.code = code
     return yv

@@ -87,18 +87,15 @@ def _search_disjunct(matrix: np.ndarray, d: int, e: int) -> bool:
     return True
 
 
-def identity_code(n: int, e: int = 0) -> BinaryDisjunctCode:
+def identity_code(n: int) -> BinaryDisjunctCode:
     """n x n identity: (n-1)-disjunct, but each column has exactly one
-    private coordinate, so e must be 0."""
+    private coordinate, so e = 0."""
     n = as_int(n, "n", 2)
-    if as_int(e, "e", 0) != 0:
-        raise InvalidInput("identity columns have weight 1; e > 0 is impossible")
     return BinaryDisjunctCode(np.eye(n, dtype=int), d=n - 1, e=0, provenance="identity")
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
+    """Whether p is prime; p >= 2, as kautz_singleton's integer rule checks."""
     return all(p % f for f in range(2, int(p**0.5) + 1))
 
 

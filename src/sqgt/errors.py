@@ -10,7 +10,7 @@ class OutOfRange(SqgtError):
 
 
 class InvalidBin(SqgtError):
-    """Bin index outside [0, Q)."""
+    """A bin index below 0 or at least Q."""
 
 
 class InvalidInput(SqgtError):

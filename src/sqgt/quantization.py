@@ -36,17 +36,23 @@ def as_int(value, what: str, least: int | None = None, most: int | None = None,
     return value
 
 
-def as_ints(values, what: str, error: type = InvalidInput) -> tuple[int, ...]:
-    """values as a tuple of ints, each under as_int's rule.  A tuple of ints
-    is returned as it is."""
+def as_ints(values, what: str, error: type = InvalidInput,
+            least: int | None = None, most: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of ints, each under as_int's rule and bounds; the
+    error names the first value that breaks them.  A tuple of ints within
+    the bounds is returned as it is."""
     try:
         values = tuple(values)
     except TypeError:
         raise error(f"{what}: {values!r} is not a sequence") from None
     for v in values:
         if type(v) is not int:
-            return tuple(as_int(v, what, error=error) for v in values)
-    return values
+            break
+    else:  # all ints: only the bounds are left to check
+        if not values or ((least is None or min(values) >= least)
+                          and (most is None or max(values) <= most)):
+            return values
+    return tuple(as_int(v, what, least, most, error) for v in values)
 
 
 @dataclass(frozen=True)

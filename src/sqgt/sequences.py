@@ -131,16 +131,14 @@ def _cardinality_feasible(needed: int, h: int, Q: int) -> str | None:
 
 
 def _validated(seq) -> tuple[int, ...]:
-    """seq as a tuple of ints, which must be non-empty, strictly increasing
-    and positive."""
-    seq = as_ints(seq, "sequence element")
+    """seq as a tuple of ints, each at least 1, which must be non-empty and
+    strictly increasing."""
+    seq = as_ints(seq, "sequence element", least=1)
     if not seq:
         raise InvalidInput("empty sequence")
     for a, b in zip(seq, seq[1:]):
         if b <= a:
             raise InvalidInput(f"sequence not strictly increasing at {a} -> {b}")
-    if seq[0] < 1:
-        raise InvalidInput("sequence elements must be positive")
     return seq
 
 
@@ -378,8 +376,8 @@ def gamma_bound(h: int) -> float:
 
 def subset_sums(seq: MultiplierSequence, d: int) -> list[tuple[int, frozenset[int]]]:
     """Ordered table of all subset sums of cardinality 1..min(d, K), each
-    with its unique generating subset."""
-    d = as_int(d, "d", 1)
+    with its unique generating subset; d <= seq.h."""
+    d = as_int(d, "d", 1, seq.h)
     table: dict[int, frozenset[int]] = {}
     for subset in _subsets_up_to(seq.values, d):
         total = sum(subset)
@@ -398,10 +396,10 @@ def knapsack_solve(
     """Recover the unique subset of <= d elements whose sum lies in
     [lo, hi), or None; hi defaults to lo + 1, an exact sum.
 
-    The interval must lie inside one bin of thresholds the sequence is
-    valid for, and d <= seq.h: the bin ordering of each kind then admits at
-    most one such subset and lets both solvers decide every element against
-    the budget hi - 1 alone.
+    The interval is to sit inside one bin of thresholds the sequence is
+    valid for, and d is at most seq.h: the bin ordering of each kind then
+    admits at most one such subset and lets both solvers decide every
+    element against the budget hi - 1 alone.
     SQLO_s: greedy from the largest element, taking it while the running
     total stays within the budget (a larger element outranks any set of
     smaller ones).
@@ -413,8 +411,8 @@ def knapsack_solve(
     if hi is None and type(lo) is int:
         hi = lo + 1
     # ints in range, which the decoders pass, take no call of the integer rule
-    if not (type(d) is type(lo) is type(hi) is int and d >= 1 and 1 <= lo < hi):
-        d, lo = as_int(d, "d", 1), as_int(lo, "lo", 1)
+    if not (type(d) is type(lo) is type(hi) is int and 1 <= d <= seq.h and 1 <= lo < hi):
+        d, lo = as_int(d, "d", 1, seq.h), as_int(lo, "lo", 1)
         hi = lo + 1 if hi is None else as_int(hi, "hi", lo + 1)
     if seq.kind == QUANTIZED_BH:
         raise UnsupportedKind(

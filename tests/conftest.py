@@ -122,6 +122,23 @@ def edit_json():
     return edit
 
 
+# The four tests that decode or recover supports over the hot code's 447,525
+# outcomes on the scalar path, about three quarters of a full run.
+# `pytest -m "not slow"` leaves them out; a plain run keeps them.
+SLOW_TESTS = {
+    "test_cold_and_warm_tables_decode_alike",
+    "test_decoders_match_oracle_with_errors",
+    "test_criterion_05_exhaustive_campaigns",
+    "test_criterion_10_negative_controls",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if item.name in SLOW_TESTS:
+            item.add_marker(pytest.mark.slow)
+
+
 # One pass/fail line per acceptance criterion, echoed after the run so
 # they stay visible under output capture.
 ACCEPTANCE_LINES: list[str] = []

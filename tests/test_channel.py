@@ -17,6 +17,7 @@ from sqgt import (
     unit_thresholds,
 )
 from sqgt.channel import syndromes
+from sqgt.cli import main
 
 from oracles import support_signature
 
@@ -71,11 +72,23 @@ def test_inject_explicit():
         inject_explicit(clean, [(1, 0)], Q=8)  # unchanged value
     with pytest.raises(InvalidInput):
         inject_explicit(clean, [(9, 5)], Q=8)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidBin, match="error value must be <= 7, got 8"):
         inject_explicit(clean, [(1, 8)], Q=8)
     for val in (4.5, True, "5"):
         with pytest.raises(InvalidBin, match="is not an integer"):
             inject_explicit(clean, [(1, val)], Q=8)
+
+
+@pytest.mark.parametrize("changes", [[(1, 5), (1, 0)], [(1, 5), (1, 6)], [(2, 4), (2, 4)]])
+def test_inject_explicit_rejects_a_coordinate_given_twice(changes, capsys):
+    # (1, 5) then (1, 0) once gave y equal to its input with two errors
+    with pytest.raises(InvalidInput, match=f"error position {changes[0][0]} given twice"):
+        inject_explicit(TestOutcome((3, 0, 1)), changes, Q=8)
+    explicit = ",".join(f"{pos}:{val}" for pos, val in changes)
+    assert main(["--json", "inject", "--y", "3 0 1", "--Q", "8", "--explicit", explicit]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: error position {changes[0][0]} given twice\n"
 
 
 def test_inject_exhaustive_counts():
@@ -133,7 +146,7 @@ def test_outcome_json():
 def test_outcome_rejects_error_positions_outside_y(position):
     # 5 used to raise an untyped IndexError from to_json, -1 to report the
     # error at the last coordinate
-    with pytest.raises(InvalidInput, match=r"error positions must lie in \[0, 2\)"):
+    with pytest.raises(InvalidInput, match=f"error position must be [<>]= [01], got {position}$"):
         TestOutcome((3, 0), (position,))
 
 

@@ -172,6 +172,11 @@ def test_inject(capsys):
     assert json.loads(out) == [{"y": [3, 5], "errors": [[1, 5]]}]
 
 
+def test_a_result_vector_that_is_not_integers_is_an_error(capsys):
+    err = run_error(capsys, "inject", "--y", "3 x", "--Q", "8")
+    assert "expected space-separated integers, got '3 x'" in err
+
+
 @pytest.mark.parametrize("pairs", ["1", "a:1", "1:x"])
 def test_inject_rejects_malformed_pairs(capsys, pairs):
     err = run_error(capsys, "inject", "--y", "3 0", "--Q", "8", "--explicit", pairs)
@@ -305,11 +310,12 @@ def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):
     ("errors", {"policy": 1}, "'errors.policy' must be str"),
     ("errors", {"samples": "4"}, "'errors.samples' must be int"),
     ("seed", None, "'seed' must be int"),
+    ("seed", -1, "seed must be >= 0, got -1"),
     ("budget", "5", "'budget' must be int"),
     ("errors", {"policy": "seeded-random", "samples": 0}, "'errors.samples' must be >= 1"),
     ("errors", {"policy": "seeded-random", "samples": -3}, "'errors.samples' must be >= 1"),
 ], ids=["errors-list", "e-string", "e-bool", "policy-int", "samples-string", "seed-null",
-        "budget-string", "samples-zero", "samples-negative"])
+        "seed-negative", "budget-string", "samples-zero", "samples-negative"])
 def test_simulate_rejects_mistyped_campaign_keys(capsys, tmp_path, edit_json, key, value, message):
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, key, value=value)

@@ -20,12 +20,14 @@ from sqgt import (
     SqgtCode,
     Thresholds,
     build,
+    code_from_config,
     feasibility_report,
     greedy_generate,
     identity_code,
     kautz_singleton,
     load_code,
     pair_sequence,
+    random_code,
     replicated_identity,
     save_code,
     unit_thresholds,
@@ -332,17 +334,51 @@ def test_matrix_text_round_trip(code_corpus):
     code = _entry(code_corpus, "qbh-i3-d2")
     rows = (" ".join(map(str, row)) for row in code.matrix.tolist())
     text = f"{code.m} {code.n} {code.q}\n" + "\n".join(rows) + "\n"
-    matrix, q = matrix_from_text(text)
-    assert q == code.q
-    assert (matrix == code.matrix).all()
+    assert (matrix_from_text(text) == code.matrix).all()
     with pytest.raises(InvalidInput):
         matrix_from_text("")
+    with pytest.raises(InvalidInput, match="bad matrix header"):
+        matrix_from_text("2 2\n0 1\n0 1\n")
     with pytest.raises(InvalidInput):
         matrix_from_text("2 2 4\n0 1\n")  # missing row
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="row lengths disagree"):
+        matrix_from_text("2 3 4\n0 1\n0 1\n")
+    with pytest.raises(InvalidInput, match="matrix entry must be <= 3, got 9"):
         matrix_from_text("1 2 4\n0 9\n")  # entry outside alphabet
     with pytest.raises(InvalidInput):
         matrix_from_text("2 2 4\n0 1\n0 x\n")  # entry not an integer
+
+
+def _config(base, d=2):
+    return {
+        "thresholds": list(range(0, 46, 3)),
+        "base": base,
+        "sequence": {"kind": "sqlo-s", "h": 3, "values": [3, 6, 12]},
+        "d": d,
+    }
+
+
+def test_code_from_config_builds_every_base_spec(tmp_path):
+    path = tmp_path / "base.txt"
+    path.write_text("3 3 2\n1 0 0\n0 1 0\n0 0 1\n")
+    for base, d, expected in [
+        ({"spec": f"file:{path}", "d": 2, "e": 0}, 2, identity_code(3)),
+        ({"spec": "replicated:2,3"}, 2, replicated_identity(2, 3)),
+        ({"spec": "random:12,6,0.3,7", "d": 1}, 1, random_code(12, 6, 1, 0, 0.3, 7)),
+    ]:
+        built = code_from_config(_config(base, d)).base
+        assert (built.matrix == expected.matrix).all()
+        assert (built.d, built.e) == (expected.d, expected.e)
+
+
+@pytest.mark.parametrize("base, message", [
+    ({"spec": "file:base.txt", "d": 2}, "a file: base needs base.d and base.e"),
+    ({"spec": "file:base.txt", "e": 0}, "a file: base needs base.d and base.e"),
+    ({"spec": "random:12,6"}, "a random base needs base.d"),
+])
+def test_code_from_config_needs_the_claims_of_a_base_it_verifies(base, message):
+    with pytest.raises(InvalidInput, match=message):
+        code_from_config(_config(base))
 
 
 def test_save_load_round_trip(code_corpus, tmp_path):

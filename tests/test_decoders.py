@@ -100,6 +100,16 @@ def test_select_witness_coords():
         select_witness_coords((5, 1), _code([[1]] * 2, 1), 0)  # needs 3 coordinates
 
 
+@pytest.mark.parametrize("i", [-1, 3, 1.0, True])
+def test_select_witness_coords_rejects_a_column_outside_the_base(i):
+    # once column 2's witnesses, an IndexError, a TypeError and column 1's
+    code = build(replicated_identity(3, 3), verified_sequence([3], TH45, 1, QUANTIZED_BH), TH45, 1)
+    y = syndrome(code, [0])
+    assert select_witness_coords(y, code, 0) == [0, 1, 2]
+    with pytest.raises(InvalidInput, match="^i "):
+        select_witness_coords(y, code, i)
+
+
 def test_dec_qbh_round_trip(code_corpus):
     code = _entry(code_corpus, "qbh-i2-d2")
     result = decode(syndrome(code, [0, 2]), code)

@@ -26,9 +26,13 @@ def test_identity_is_maximally_disjunct():
     # each column has a single private row, so no error slack exists
     assert not verify_disjunct(code.matrix, 1, 1)
     with pytest.raises(InvalidInput):
-        identity_code(3, e=1)
-    with pytest.raises(InvalidInput):
         identity_code(1)
+
+
+def test_random_code_gives_up_after_its_retries():
+    # two rows leave no column a private row against every other one
+    with pytest.raises(InvalidInput, match=f"in {disjunct.MAX_RETRIES} attempts"):
+        random_code(2, 6, 1)
 
 
 def test_duplicate_columns_are_not_disjunct():

@@ -1,7 +1,8 @@
 """One integer rule at every boundary: a value that is a bool or no integer
 raises the entry point's typed error, never a truncated answer; numpy
-integers are accepted as the ints they hold.  Scalar counts also raise
-when they lie out of range."""
+integers are accepted as the ints they hold.  Scalar counts, seeds, a
+solver's d and a stage's column index also raise when they lie out of
+range."""
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from sqgt import (
     random_code,
     replicated_identity,
     scaled_construction,
+    select_witness_coords,
     simulate_campaign,
     strong_lex_base,
     subset_sums,
@@ -128,14 +130,13 @@ SCALARS = {
     "gamma_bound h": (gamma_bound, 2, 0, None),
     "greedy_generate K_target": (lambda v: greedy_generate(TH, 2, v, SQLO_S), 2, 0, None),
     "strong_lex_base K": (strong_lex_base, 3, 0, None),
-    "subset_sums d": (lambda v: subset_sums(SEQ, v), 2, 0, None),
-    "knapsack_solve d": (lambda v: knapsack_solve(SQLO, v, 9), 2, 0, None),
+    "subset_sums d": (lambda v: subset_sums(SEQ, v), 2, 0, 3),
+    "knapsack_solve d": (lambda v: knapsack_solve(SQLO, v, 9), 2, 0, 4),
     "knapsack_solve lo": (lambda v: knapsack_solve(SQLO, 2, v), 9, 0, None),
     "knapsack_solve hi": (lambda v: knapsack_solve(SQLO, 2, 9, v), 12, 9, None),
     "verify_disjunct d": (lambda v: verify_disjunct(EYE3, v, 0), 2, 0, 3),
     "verify_disjunct e": (lambda v: verify_disjunct(EYE3, 2, v), 0, -1, None),
     "identity_code n": (identity_code, 2, 1, None),
-    "identity_code e": (lambda v: identity_code(2, v), 0, -1, None),
     "kautz_singleton q_field": (lambda v: kautz_singleton(v, 2), 3, 1, None),
     "kautz_singleton k": (lambda v: kautz_singleton(3, v), 2, 1, 4),
     "kautz_singleton d": (lambda v: kautz_singleton(3, 2, v), 2, 0, 3),
@@ -161,12 +162,20 @@ SCALARS = {
     "inject_random e": (lambda v: list(inject_random(Y, v, 8, 0, 3)), 2, -1, None),
     "inject_random Q": (lambda v: list(inject_random(Y, 2, v, 0, 3)), 8, 0, None),
     "inject_random count": (lambda v: list(inject_random(Y, 2, 8, 0, v)), 3, -1, None),
+    "inject_random seed": (lambda v: list(inject_random(Y, 2, 8, v, 3)), 5, -1, None),
+    "inject_random tuple seed": (
+        lambda v: list(inject_random(Y, 2, 8, (5, v), 3)), 1, -1, None
+    ),
+    "select_witness_coords i": (lambda v: select_witness_coords((3, 0), CODE, v), 1, -1, 2),
     "simulate_campaign e_inject": (lambda v: _campaign(e_inject=v), 1, -1, None),
     "simulate_campaign samples_per_set": (
         lambda v: _campaign(policy="seeded-random", samples_per_set=v), 2, 0, None
     ),
     "simulate_campaign budget": (lambda v: _campaign(budget=v), 3, -1, None),
     "simulate_campaign workers": (lambda v: _campaign(workers=v), 1, 0, None),
+    "simulate_campaign seed": (
+        lambda v: _campaign(policy="seeded-random", seed=v), 2, -1, None
+    ),
 }
 NON_INTEGER_COUNTS = (1.5, True, "2", np.float64(2.0))
 

@@ -9,7 +9,15 @@ from sqgt import (
     uniform_thresholds,
     unit_thresholds,
 )
+from sqgt.quantization import load_thresholds
+
 from oracles import quantize_linear_scan
+
+
+def test_load_thresholds_reads_a_list_or_a_file(tmp_path):
+    path = tmp_path / "thresholds.json"
+    path.write_text("[0, 2, 5, 6]")
+    assert load_thresholds(str(path)) == load_thresholds(" [0, 2, 5, 6]") == Thresholds((0, 2, 5, 6))
 
 
 def test_running_example_step3(th_step3):

@@ -163,6 +163,13 @@ def test_input_validation(th_gaps):
         check_sequence([2, 5], th_gaps, 0, QUANTIZED_BH)
     with pytest.raises(InvalidInput):
         check_sequence([2, 5], th_gaps, 2, "nope")
+    for values in ([0, 2], [-3, 2]):
+        with pytest.raises(InvalidInput, match=f"sequence element must be >= 1, got {values[0]}"):
+            check_sequence(values, th_gaps, 2, QUANTIZED_BH)
+    with pytest.raises(InvalidInput, match="unknown family 'nope'"):
+        check_base([1, 2], "nope", 2)
+    with pytest.raises(InvalidInput, match="unknown family 'nope'"):
+        greedy_generate_base("nope", 2, 3)
     with pytest.raises(BudgetExceeded):
         check_sequence(list(range(1, 23)), unit_thresholds(10**7), 11, QUANTIZED_BH)
     with pytest.raises(InvalidInput):
@@ -494,10 +501,22 @@ def test_subset_sums_table(th_step3_tall):
 
 
 def test_subset_sums_detects_corruption():
-    # verified for h = 1 only, so 1 + 2 = 3 duplicates the singleton 3 at d = 2
-    seq = MultiplierSequence((1, 2, 3), QUANTIZED_BH, 1, unit_thresholds(10))
+    # values tampered with after the check: 1 + 2 = 3 duplicates the singleton 3
+    seq = MultiplierSequence((1, 2, 4), QUANTIZED_BH, 2, unit_thresholds(10))
+    object.__setattr__(seq, "values", (1, 2, 3))
     with pytest.raises(CorruptSequence):
         subset_sums(seq, 2)
+
+
+def test_solvers_refuse_d_above_h():
+    # verified for h = 1, the sequence has two subsets summing to 9 at d = 2
+    seq = greedy_generate(uniform_thresholds(3, 15), 1, 5, SQLO_S)
+    assert seq.values[:3] == (3, 6, 9) and knapsack_solve(seq, 1, 9) == frozenset({9})
+    for d in (2, 3):
+        with pytest.raises(InvalidInput, match=f"d must be <= 1, got {d}"):
+            knapsack_solve(seq, d, 9)
+        with pytest.raises(InvalidInput, match=f"d must be <= 1, got {d}"):
+            subset_sums(seq, d)
 
 
 def test_knapsack_qbh_unsupported(th_step3_tall):
