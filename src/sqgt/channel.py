@@ -17,7 +17,7 @@ from .quantization import as_int, as_ints
 class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
     Both pass the integer rule when the outcome is made, which bounds each
-    error position to index y."""
+    error position to index y; the positions must strictly increase."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
@@ -25,6 +25,8 @@ class TestOutcome:
     def __post_init__(self):
         y = as_ints(self.y, "result value", InvalidBin)
         positions = as_ints(self.error_positions, "error position", least=0, most=len(y) - 1)
+        if len(positions) > 1 and any(a >= b for a, b in zip(positions, positions[1:])):
+            raise InvalidInput(f"error positions must strictly increase, got {list(positions)}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "error_positions", positions)
 

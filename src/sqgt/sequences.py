@@ -250,29 +250,59 @@ def greedy_generate(
     Candidates that must fail are skipped.  Every kind puts the new element
     in a higher bin than the last one; SQLO_s also above the bin of the sum
     of the h largest elements, which it must outrank; SQLO_l with h >= 2
-    below the bin of a_1 + a_2, which outranks every single element.
+    below the bin of a_1 + a_2, which outranks every single element.  The
+    counting bound, alike for every candidate, ends the search.
+
+    As in the greedy Sidon (Mian-Chowla) search, a candidate c is tested
+    only on the subsets it adds, c + S for each S in `partial`: the (sum,
+    size) of the prefix's subsets of < h elements, empty first, in SQLO_s's
+    binary-weight order.  Quantized B_h: their bins are distinct and miss
+    `taken`, those of the prefix's subsets.  SQLO_s: they rise along
+    `partial` (not listed on the identity quantizer).  SQLO_l at h >= 2,
+    whose new subsets interleave the old, takes the full check_sequence.
+    The returned sequence passes the full check.
     """
     K_target = as_int(K_target, "K_target", 1)
     first = 1 if th is None else th.eta[1]
     if not check_sequence([first], th, h, kind).passed:
         raise InfeasibleThresholds(
-            f"even the single-element sequence [{first}] fails the {kind} check"
-        )
-    prefix = [first]
-    while len(prefix) < K_target:
+            f"even the single-element sequence [{first}] fails the {kind} check")
+    lists = th is not None or kind != SQLO_S
+    eta, top, Q = (None, math.inf, math.inf) if th is None else (th.eta, th.top, th.Q)
+    # listed counts the prefix's subsets of <= h elements, the empty one too,
+    # and bins (shifted up by 1 on thresholds) are those of c + each sum
+    prefix, partial, taken, listed = [], [(0, 0)], set(), 1
+    bins = lambda c, part: [c + s if eta is None else bisect_right(eta, c + s) for s, _ in part]
+    def extends(c):
+        if kind == SQLO_L:
+            return check_sequence(prefix + [c], th, h, kind).passed
+        new = bins(c, partial)
+        if kind == QUANTIZED_BH:
+            return len(set(new)) == len(new) and taken.isdisjoint(new)
+        return all(a < b for a, b in zip(new, new[1:]))
+    candidate = first
+    while True:
+        prefix.append(candidate)
+        if lists:
+            taken.update(bins(candidate, partial) if kind == QUANTIZED_BH else ())
+            listed += len(partial)
+            partial += [(s + candidate, n + 1) for s, n in partial if n + 1 < h]
+        needed = listed + len(partial)  # with one more element
+        if len(prefix) == K_target or needed > Q:
+            break
         # prefix sums of <= h elements lie below the top, so both bins exist
         floor = sum(prefix[-h:]) if kind == SQLO_S else prefix[-1]
         candidate = _bin_start(th, floor, 1)
-        stop = math.inf if th is None else th.top
-        if kind == SQLO_L and h >= 2 and len(prefix) >= 2:
-            stop = _bin_start(th, prefix[0] + prefix[1])
-        while candidate < stop and not check_sequence(
-            prefix + [candidate], th, h, kind
-        ).passed:
+        pair = kind == SQLO_L and h >= 2 and len(prefix) >= 2
+        stop = _bin_start(th, prefix[0] + prefix[1]) if pair else top
+        if lists and needed - 1 > MAX_LISTED_SUBSETS and candidate < stop:
+            raise BudgetExceeded(f"{needed - 1} subsets to check, more than {MAX_LISTED_SUBSETS}")
+        stop = min(stop, top - partial[-1][0])
+        # partial == [(0, 0)] (h = 1, or SQLO_s on identity): the start passes
+        while candidate < stop and not (len(partial) == 1 or extends(candidate)):
             candidate += 1
         if candidate >= stop:
             break
-        prefix.append(candidate)
     return verified_sequence(prefix, th, h, kind)
 
 

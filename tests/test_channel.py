@@ -150,6 +150,13 @@ def test_outcome_rejects_error_positions_outside_y(position):
         TestOutcome((3, 0), (position,))
 
 
+@pytest.mark.parametrize("positions", [(1, 1), (2, 0)])
+def test_outcome_rejects_repeated_or_unsorted_error_positions(positions):
+    # (1, 1) printed two errors on one coordinate; (2, 0) was stored as given
+    with pytest.raises(InvalidInput, match=r"error positions must strictly increase, got \["):
+        TestOutcome((3, 0, 1), positions)
+
+
 def test_clean_follows_the_error_positions():
     assert TestOutcome((3, 5, 1)).clean
     assert not TestOutcome((3, 5, 1), (1,)).clean

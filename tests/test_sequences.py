@@ -1,8 +1,11 @@
+import importlib
 import json
 import math
 import random
+import tracemalloc
 from bisect import bisect_right
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -44,6 +47,8 @@ from oracles import (
     recursive_superincreasing,
     scan_base,
 )
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 # --- the pairwise definitions, the oracle for check_sequence ---
@@ -262,13 +267,20 @@ def _plain_greedy(th, h, K, kind):
 
 
 @given(
-    st.lists(st.integers(1, 5), min_size=2, max_size=30),
-    st.integers(1, 3),
+    st.lists(st.integers(1, 20), min_size=2, max_size=30),
+    st.integers(1, 4),
     st.integers(1, 6),
     st.sampled_from(KINDS),
 )
 @example([5, 5, 2, 2, 2, 1, 3, 2, 4, 5], 2, 4, SQLO_L)  # (5, 10, 12): 12 sits
 # in the bin just below that of 5 + 10
+@example([3, 5, 5], 2, 5, SQLO_S)  # (3,): a second element needs 4 > Q bins
+@example([3, 5, 5, 3, 1, 5, 4], 2, 6, QUANTIZED_BH)  # (3, 10): 13, 14 and 15
+# share a bin with 10, and 16 + 10 reaches the top
+@example([3, 5, 2, 1, 5, 3, 3], 2, 6, SQLO_L)  # (3, 8): 10 is the last
+# candidate below the bin of 3 + 8, and 3 + 10 shares that bin
+@example([1, 1, 3, 2], 2, 5, QUANTIZED_BH)  # (1, 4): 2 and 1 + 2 share a bin,
+# as do 3 and 1 + 3, none of them with a subset of the prefix
 @settings(max_examples=200, deadline=None)
 def test_greedy_matches_plain_scan(gaps, h, K, kind):
     th = _thresholds(gaps)
@@ -294,6 +306,49 @@ def test_greedy_sqlo_l_stops_below_the_smallest_pair(monkeypatch):
     assert seq.values == (1, 2)
     assert len(calls) == 3  # [1], [1, 2], and the final verification
 
+
+
+def test_greedy_checks_only_the_first_element_and_the_result(monkeypatch, tmp_path):
+    # the construct-codes benchmark's quantized-bh K = 8, d = 2 design, which
+    # made 95 full checks when each candidate took one
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    items = workloads.ConstructCodes(1, tmp_path).items
+    eta = next(eta for kind, K, d, _, eta in items if (kind, K, d) == (QUANTIZED_BH, 8, 2))
+    calls = []
+    real = sequences.check_sequence
+    monkeypatch.setattr(sequences, "check_sequence", lambda *args: calls.append(args) or real(*args))
+    seq = greedy_generate(Thresholds(eta), 2, 8, QUANTIZED_BH)
+    assert seq.K == 8
+    assert [args[0] for args in calls] == [[eta[1]], seq.values]
+
+
+def test_greedy_refuses_past_the_subset_budget_where_a_full_check_would(monkeypatch):
+    monkeypatch.setattr(sequences, "MAX_LISTED_SUBSETS", 20)
+    # a sixth element needs C(6, <= 2) = 21 subsets
+    with pytest.raises(BudgetExceeded, match="^21 subsets to check, more than 20$"):
+        greedy_generate(unit_thresholds(10**4), 2, 8, QUANTIZED_BH)
+    monkeypatch.setattr(sequences, "MAX_LISTED_SUBSETS", 3)
+    # no third element lies below the bin of 1 + 2, so none is checked
+    assert greedy_generate(unit_thresholds(10**4), 2, 5, SQLO_L).values == (1, 2)
+    monkeypatch.setattr(sequences, "MAX_LISTED_SUBSETS", 2)
+    # [3] takes no second element: 8 + 3 and 9 + 3 reach the top.  A full
+    # check of [3, 8] is refused before the top is read, so this is too.
+    with pytest.raises(BudgetExceeded, match="^3 subsets to check, more than 2$"):
+        greedy_generate(Thresholds((0, 3, 8, 9, 10)), 3, 5, QUANTIZED_BH)
+
+
+def test_identity_sqlo_s_greedy_lists_no_subsets(monkeypatch):
+    # listing the subsets of < 8 of 20 elements would take 137,980 of them
+    monkeypatch.setattr(sequences, "MAX_LISTED_SUBSETS", 0)
+    tracemalloc.start()
+    try:
+        seq = greedy_generate_base(H_SUPERINCREASING, 8, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert seq.values == recursive_superincreasing(8, 20)
+    assert peak < 200_000
 
 
 def test_greedy_reproduces_worked_example(th_gaps):
