@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 from .channel import inject_exhaustive, inject_random, syndrome
@@ -36,25 +36,12 @@ class CampaignSummary:
         self.failure_examples = self.failure_examples[:10]
 
     def as_dict(self) -> dict:
-        return {
-            "cases": self.cases,
-            "successes": self.successes,
-            "failures": self.failures,
-            "truncated": self.truncated,
-            "wall_time": round(self.wall_time, 3),
-            "failure_examples": self.failure_examples,
-        }
+        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
 
 
 def _defective_sets(code: SqgtCode, d_max: int):
     for size in range(1, d_max + 1):
         yield from combinations(range(code.n), size)
-
-
-def _outcomes(clean, e: int, Q: int, policy: str, seed: tuple[int, int], samples: int):
-    if policy == EXHAUSTIVE:
-        return inject_exhaustive(clean, e, Q)
-    return inject_random(clean, e, Q, seed, samples)
 
 
 def _run_chunk(
@@ -72,7 +59,8 @@ def _run_chunk(
         truth = frozenset(D)
         clean = syndrome(code, D)
         # each set draws from its own stream, whatever chunk it lands in
-        for outcome in _outcomes(clean, e_inject, Q, policy, (seed, index), samples):
+        for outcome in (inject_exhaustive(clean, e_inject, Q) if policy == EXHAUSTIVE
+                        else inject_random(clean, e_inject, Q, (seed, index), samples)):
             if budget is not None and summary.cases >= budget:
                 summary.truncated = True
                 return summary

@@ -27,7 +27,6 @@ class BinaryDisjunctCode:
     matrix: np.ndarray  # m x n over {0, 1}
     d: int
     e: int
-    provenance: str = "user-supplied"
 
     @property
     def m(self) -> int:
@@ -88,10 +87,9 @@ def _search_disjunct(matrix: np.ndarray, d: int, e: int) -> bool:
 
 
 def identity_code(n: int) -> BinaryDisjunctCode:
-    """n x n identity: (n-1)-disjunct, but each column has exactly one
-    private coordinate, so e = 0."""
-    n = as_int(n, "n", 2)
-    return BinaryDisjunctCode(np.eye(n, dtype=int), d=n - 1, e=0, provenance="identity")
+    """n x n identity, the one-copy replicated identity: (n-1)-disjunct, but
+    each column has exactly one private coordinate, so e = 0."""
+    return replicated_identity(n, 1)
 
 
 def _is_prime(p: int) -> bool:
@@ -125,7 +123,7 @@ def kautz_singleton(
         for x in range(q_field):
             val = sum(c * pow(x, i, q_field) for i, c in enumerate(coeffs)) % q_field
             matrix[x * q_field + val, col] = 1
-    return BinaryDisjunctCode(matrix, d=d, e=e, provenance="kautz-singleton")
+    return BinaryDisjunctCode(matrix, d=d, e=e)
 
 
 def random_code(
@@ -148,7 +146,7 @@ def random_code(
         if (matrix.sum(axis=0) == 0).any():
             continue
         if verify_disjunct(matrix, d, e):
-            return BinaryDisjunctCode(matrix, d=d, e=e, provenance="random")
+            return BinaryDisjunctCode(matrix, d=d, e=e)
     raise InvalidInput(
         f"no {d}-disjunct draw with e={e} found in {MAX_RETRIES} attempts "
         f"(m={m}, n={n}, density={density})"
@@ -162,7 +160,7 @@ def user_code(matrix, d: int, e: int) -> BinaryDisjunctCode:
     if not verify_disjunct(matrix, d, e):
         raise InvalidInput(f"matrix is not {d}-disjunct with e={e}")
     d, e = as_int(d, "d"), as_int(e, "e")  # verified above; stored as ints
-    return BinaryDisjunctCode(matrix.astype(int), d=d, e=e, provenance="user-supplied")
+    return BinaryDisjunctCode(matrix.astype(int), d=d, e=e)
 
 
 def replicated_identity(n: int, copies: int) -> BinaryDisjunctCode:
@@ -170,6 +168,4 @@ def replicated_identity(n: int, copies: int) -> BinaryDisjunctCode:
     `copies` private rows, giving e = (copies - 1) // 2."""
     n, copies = as_int(n, "n", 2), as_int(copies, "copies", 1)
     matrix = np.repeat(np.eye(n, dtype=int), copies, axis=0)
-    return BinaryDisjunctCode(
-        matrix, d=n - 1, e=(copies - 1) // 2, provenance="replicated-identity"
-    )
+    return BinaryDisjunctCode(matrix, d=n - 1, e=(copies - 1) // 2)

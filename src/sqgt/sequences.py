@@ -424,7 +424,8 @@ def knapsack_solve(
     seq: MultiplierSequence, d: int, lo: int, hi: int | None = None
 ) -> frozenset[int] | None:
     """Recover the unique subset of <= d elements whose sum lies in
-    [lo, hi), or None; hi defaults to lo + 1, an exact sum.
+    [lo, hi), or None; hi defaults to lo + 1, an exact sum.  d, lo and hi
+    pass the integer rule: 1 <= d <= seq.h and 1 <= lo < hi.
 
     The interval is to sit inside one bin of thresholds the sequence is
     valid for, and d is at most seq.h: the bin ordering of each kind then
@@ -438,12 +439,8 @@ def knapsack_solve(
     can still be completed within it (lexicographic order).
     Both run in O(K d) element comparisons, whatever the bin width.
     """
-    if hi is None and type(lo) is int:
-        hi = lo + 1
-    # ints in range, which the decoders pass, take no call of the integer rule
-    if not (type(d) is type(lo) is type(hi) is int and 1 <= d <= seq.h and 1 <= lo < hi):
-        d, lo = as_int(d, "d", 1, seq.h), as_int(lo, "lo", 1)
-        hi = lo + 1 if hi is None else as_int(hi, "hi", lo + 1)
+    d, lo = as_int(d, "d", 1, seq.h), as_int(lo, "lo", 1)
+    hi = lo + 1 if hi is None else as_int(hi, "hi", lo + 1)
     if seq.kind == QUANTIZED_BH:
         raise UnsupportedKind(
             "no linear-time solver for plain quantized B_h sequences; "

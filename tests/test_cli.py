@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sqgt import CorruptCode, load_code
+from sqgt import CorruptCode, InvalidInput, code_from_config, load_code
 from sqgt.cli import main
 
 TH_GAPS = "[0, 2, 5, 6, 10, 13, 15, 16, 18, 21]"
@@ -270,6 +270,31 @@ def test_code_build_from_a_sequence_file(capsys, tmp_path):
 def test_malformed_code_file_is_refused(capsys, tmp_path, edit_json, keys, edit, message):
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, *keys, **edit)
+    with pytest.raises(CorruptCode, match=message):
+        load_code(path)
+    assert message in run_error(capsys, "simulate", "--config", path)
+
+
+@pytest.mark.parametrize("keys, value, message", [
+    (("base", "matrix"), [[1, 0], [1]], "key 'base.matrix' must be a non-empty binary matrix"),
+    ((), [1, 2], "a code description is an object, got list"),
+    (("sequence", "values"), [3, True], "key 'sequence.values' must be a list of integers"),
+    (("sequence", "values"), [3, "6"], "key 'sequence.values' must be a list of integers"),
+    (("sequence", "values"), [3, 6.0], "key 'sequence.values' must be a list of integers"),
+], ids=["matrix-ragged", "description-list", "values-bool", "values-string", "values-float"])
+def test_malformed_description_is_refused_on_every_path(
+    capsys, tmp_path, edit_json, keys, value, message
+):
+    path = build_demo_code(capsys, tmp_path) + ".json"
+    if keys:
+        edit_json(path, *keys, value=value)
+    else:  # the whole description
+        with open(path, "w") as fh:
+            json.dump(value, fh)
+    with open(path) as fh:
+        description = json.load(fh)
+    with pytest.raises(InvalidInput, match=message):
+        code_from_config(description)
     with pytest.raises(CorruptCode, match=message):
         load_code(path)
     assert message in run_error(capsys, "simulate", "--config", path)

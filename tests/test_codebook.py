@@ -121,6 +121,18 @@ def test_build_rejects_d_above_the_column_count(tmp_path, edit_json):
         load_code(path)
 
 
+def test_build_refuses_a_base_less_disjunct_than_d(tmp_path, edit_json):
+    th = uniform_thresholds(3, 40)
+    seq = greedy_generate(th, 2, 2, SQLO_S)
+    with pytest.raises(ParameterError, match="base is 1-disjunct < d=2"):
+        build(kautz_singleton(5, 2, d=1), seq, th, 2)
+    # ks:5,2 is 4-disjunct; its file claim edited to d = 1 still verifies
+    path = save_code(build(kautz_singleton(5, 2), seq, th, 2), str(tmp_path / "code"))
+    edit_json(path, "base", "d", value=1)
+    with pytest.raises(CorruptCode, match="base is 1-disjunct < d=2"):
+        load_code(path)
+
+
 def test_build_revalidates_other_thresholds(th_step3_tall, th_gaps):
     seq = verified_sequence([3, 6, 12], th_step3_tall, 2, QUANTIZED_BH)
     with pytest.raises(ParameterError):
@@ -143,7 +155,7 @@ def test_verify_sq_separable_positive(code_corpus):
 def test_verify_sq_separable_duplicate_columns(th_step3_tall):
     seq = verified_sequence([3, 6], th_step3_tall, 2, QUANTIZED_BH)
     dup = BinaryDisjunctCode(
-        np.array([[1, 1], [1, 1]]), d=1, e=0, provenance="user-supplied"
+        np.array([[1, 1], [1, 1]]), d=1, e=0
     )
     code = build(dup, seq, th_step3_tall, 1, "strict")
     assert not verify_sq_separable(code, 1, 1, 0)

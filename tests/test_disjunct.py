@@ -29,6 +29,19 @@ def test_identity_is_maximally_disjunct():
         identity_code(1)
 
 
+def test_identity_is_the_one_copy_replicated_identity():
+    for n in range(2, 7):
+        a, b = identity_code(n), replicated_identity(n, 1)
+        assert np.array_equal(a.matrix, b.matrix) and a.matrix.dtype == b.matrix.dtype
+        assert (a.d, a.e) == (b.d, b.e) == (n - 1, 0)
+    for n in (1, True, 2.0):
+        with pytest.raises(InvalidInput) as identity_error:
+            identity_code(n)
+        with pytest.raises(InvalidInput) as replicated_error:
+            replicated_identity(n, 1)
+        assert str(identity_error.value) == str(replicated_error.value)
+
+
 def test_random_code_gives_up_after_its_retries():
     # two rows leave no column a private row against every other one
     with pytest.raises(InvalidInput, match=f"in {disjunct.MAX_RETRIES} attempts"):
@@ -101,7 +114,7 @@ def test_bases_keep_no_unused_knobs():
         user_code(np.eye(3, dtype=int), 2, 0, verify=False)
     with pytest.raises(TypeError):
         random_code(12, 6, 1, max_retries=1)
-    assert [f.name for f in fields(BinaryDisjunctCode)] == ["matrix", "d", "e", "provenance"]
+    assert [f.name for f in fields(BinaryDisjunctCode)] == ["matrix", "d", "e"]
 
 
 def test_gram_certificate_settles_the_constructions():
@@ -109,7 +122,7 @@ def test_gram_certificate_settles_the_constructions():
         identity_code(4), kautz_singleton(3, 2), kautz_singleton(5, 2, d=2),
         replicated_identity(4, 3),
     ):
-        assert _gram_certificate(code.matrix, code.d, code.e), code.provenance
+        assert _gram_certificate(code.matrix, code.d, code.e), code.matrix.shape
     # columns {0}, {1,2,3} and {1,2,4}: weight 1 and overlap 2 defeat the
     # certificate, but each column keeps a row from any other one
     matrix = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1], [0, 1, 0], [0, 0, 1]])
