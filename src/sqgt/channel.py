@@ -43,18 +43,28 @@ class TestOutcome:
         )
 
 
+def quantize_sums(thresholds, sums: np.ndarray) -> np.ndarray:
+    """The bin of each non-negative sum in a 2-D array, one row per column
+    set.  OutOfRange names the first row's coordinate that reaches the top;
+    below it each sum indexes a table of every integer's bin, used where the
+    top is no larger than the number of sums, else it is binary-searched."""
+    eta = thresholds.eta
+    if sums.max() >= eta[-1]:
+        row = sums[int((sums.max(axis=1) >= eta[-1]).argmax())]
+        k = int(row.argmax())
+        raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {eta[-1]}")
+    if eta[-1] <= sums.size:
+        return np.repeat(np.arange(thresholds.Q), np.diff(thresholds.array))[sums]
+    return np.searchsorted(thresholds.array, sums, side="right") - 1
+
+
 def syndromes(code, sets) -> np.ndarray:
     """The adder channel and the quantizer: the result vector of each of
     equally large column sets, one row per set, binned from the
     coordinate-wise sum of its columns.  OutOfRange names the first set's
     coordinate whose sum reaches the top threshold."""
     sums = code.matrix.T[np.asarray(sets, dtype=np.intp)].sum(axis=1)
-    eta = code.thresholds.eta
-    if sums.max() >= eta[-1]:
-        row = sums[int((sums.max(axis=1) >= eta[-1]).argmax())]
-        k = int(row.argmax())
-        raise OutOfRange(f"coordinate {k}: sum {int(row[k])} >= top threshold {eta[-1]}")
-    return np.searchsorted(code.thresholds.array, sums, side="right") - 1
+    return quantize_sums(code.thresholds, sums)
 
 
 def syndrome(code, defectives: Iterable[int]) -> TestOutcome:

@@ -11,11 +11,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations, cycle
+from itertools import combinations, cycle
 
 import numpy as np
 
-from .channel import syndromes
+from .channel import quantize_sums
 from .disjunct import (
     BinaryDisjunctCode,
     identity_code,
@@ -138,9 +138,9 @@ def build(
         raise ParameterError(f"sequence verified for h={seq.h} < d={d}")
     if d > base.n * len(seq.values):
         raise ParameterError(f"d={d} exceeds the code's {base.n * len(seq.values)} columns")
-    # Disjunctness is vacuous for d > n-1: there are no d-subsets of other
-    # columns to cover a codeword, so any base qualifies there.
-    if base.d < d and d <= base.n - 1:
+    # Support recovery drops a column only through 2e+1 of its rows that miss
+    # every defective column, and up to min(d, n-1) other columns are defective.
+    if base.d < min(d, base.n - 1):
         raise ParameterError(f"base is {base.d}-disjunct < d={d}")
     if seq.thresholds != th:
         report = check_sequence(seq.values, th, seq.h, seq.kind)
@@ -197,12 +197,17 @@ def verify_sq_separable(code: SqgtCode, l: int, u: int, e: int) -> bool:
     """Exhaustive check: result vectors of any two distinct column sets
     with sizes in [l, u] differ in >= 2e+1 coordinates.
 
+    The column sums are built level by level, each set of the next size as
+    a set plus one column past its last: every set once, in combinations()
+    order.  One call of the channel's quantizer bins them all, and its
+    OutOfRange names the first overflowing set.
+
     Only vectors equal on one of 2e+1 disjoint groups of coordinates are
     compared in full.  This is exact: two vectors that differ in at most 2e
     coordinates leave a group untouched (pigeonhole), so they share a run of
     its sorted keys.  A wrapped key only adds pairs to compare.  BudgetExceeded
     refuses to hold more than MAX_SEPARABILITY_CELLS vector coordinates (about
-    23 bytes of peak memory each), or to compare more in the runs."""
+    24 bytes of peak memory each), or to compare more in the runs."""
     l, e = as_int(l, "l", 1), as_int(e, "e", 0)
     u = as_int(u, "u", l, code.n)
     num_sets = sum(math.comb(code.n, s) for s in range(l, u + 1))
@@ -211,17 +216,26 @@ def verify_sq_separable(code: SqgtCode, l: int, u: int, e: int) -> bool:
             f"{num_sets} sets -> {num_sets * code.m} result-vector cells held "
             f"exceed {MAX_SEPARABILITY_CELLS}"
         )
-    rows = np.concatenate([syndromes(code, np.fromiter(
-        chain.from_iterable(combinations(range(code.n), s)), np.intp, math.comb(code.n, s) * s,
-    ).reshape(-1, s)) for s in range(l, u + 1)])
+    n, columns = code.n, code.matrix.T
+    sets = np.array(list(combinations(range(n), l)), np.intp).reshape(-1, l)
+    sums = np.empty((num_sets, code.m), np.int64)
+    sums[: len(sets)] = columns.take(sets, axis=0).sum(axis=1)
+    last, start, end = sets[:, -1], 0, len(sets)
+    for _ in range(l, u):  # each set one larger: a set of this size and a column past its last
+        count = n - 1 - last
+        parent = np.repeat(np.arange(start, end), count)
+        last = np.arange(len(parent)) + np.repeat(last + 1 - (np.cumsum(count) - count), count)
+        start, end = end, end + len(last)
+        np.add(sums.take(parent, axis=0), columns.take(last, axis=0), out=sums[start:end])
+    rows = quantize_sums(code.thresholds, sums)
+    del sums  # one array of cells fewer at the peak
     need = 2 * e + 1
     if code.m < need:  # two vectors differ in at most m < 2e+1 coordinates
         return len(rows) < 2
-    keys = (rows.astype(np.uint64) @ _group_weights(code, need)).T
+    keys = _group_weights(code, need).T @ rows.astype(np.uint64).T
     order, keys = keys.argsort(axis=1).ravel(), np.sort(keys, axis=1)
     # same[i]: sorted places i and i + 1 hold equal keys of one group
     same = np.hstack([keys[:, 1:] == keys[:, :-1], np.zeros((need, 1), bool)]).ravel()
-    rows = rows.astype(np.min_scalar_type(code.thresholds.Q - 1))[order]  # in key order
     active, t, compared = np.flatnonzero(same), 1, 0  # places i with equal keys at i + t
     while active.size:
         compared += active.size * code.m
@@ -229,7 +243,7 @@ def verify_sq_separable(code: SqgtCode, l: int, u: int, e: int) -> bool:
             raise BudgetExceeded(
                 f"offset {t} -> {compared} cells compared exceed {MAX_SEPARABILITY_CELLS}"
             )
-        if np.count_nonzero(rows[active] != rows[active + t], axis=1).min() < need:
+        if np.count_nonzero(rows[order[active]] != rows[order[active + t]], axis=1).min() < need:
             return False
         active = active[same[active + t]]
         t += 1
@@ -421,5 +435,5 @@ def load_code(path: str) -> SqgtCode:
         raise CorruptCode(f"{path}: not valid JSON: {exc}") from exc
     try:
         return code_from_config(description)
-    except SqgtError as exc:
+    except (SqgtError, OSError) as exc:  # OSError: a thresholds or file: base path
         raise CorruptCode(f"{path}: {exc}") from exc

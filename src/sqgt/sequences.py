@@ -255,12 +255,21 @@ def greedy_generate(
 
     As in the greedy Sidon (Mian-Chowla) search, a candidate c is tested
     only on the subsets it adds, c + S for each S in `partial`: the (sum,
-    size) of the prefix's subsets of < h elements, empty first, in SQLO_s's
-    binary-weight order.  Quantized B_h: their bins are distinct and miss
-    `taken`, those of the prefix's subsets.  SQLO_s: they rise along
-    `partial` (not listed on the identity quantizer).  SQLO_l at h >= 2,
+    size) of the prefix's subsets of < h elements, by ascending sum.  A
+    valid prefix gives them distinct sums, and the test is that no c + s
+    shares the bin of c plus the next smaller sum, and for quantized B_h
+    that none lands in `taken`, the bins of the prefix's subsets.  For
+    SQLO_s this is the rise of the bins along its binary-weight order,
+    which on a valid prefix is the order of the sums.  SQLO_l at h >= 2,
     whose new subsets interleave the old, takes the full check_sequence.
-    The returned sequence passes the full check.
+
+    A failing candidate c jumps past the integers that fail alike.  For a
+    failing sum s, take c' >= c with c' + s in the bin of c + s: that bin
+    is still taken, or c' + s', for the next smaller sum s', lies in
+    [c + s', c' + s) and so in the same bin.  The next candidate is the
+    largest start of the bin above c + s, less s, over the failing sums;
+    SQLO_l candidates still step by 1.  The returned sequence passes the full
+    check.
     """
     K_target = as_int(K_target, "K_target", 1)
     first = 1 if th is None else th.eta[1]
@@ -272,21 +281,26 @@ def greedy_generate(
     # listed counts the prefix's subsets of <= h elements, the empty one too,
     # and bins (shifted up by 1 on thresholds) are those of c + each sum
     prefix, partial, taken, listed = [], [(0, 0)], set(), 1
-    bins = lambda c, part: [c + s if eta is None else bisect_right(eta, c + s) for s, _ in part]
-    def extends(c):
+    bins = lambda c: [c + s if eta is None else bisect_right(eta, c + s) for s, _ in partial]
+    def fit(c):
+        """c if it extends the prefix, else the next candidate that may."""
         if kind == SQLO_L:
-            return check_sequence(prefix + [c], th, h, kind).passed
-        new = bins(c, partial)
-        if kind == QUANTIZED_BH:
-            return len(set(new)) == len(new) and taken.isdisjoint(new)
-        return all(a < b for a, b in zip(new, new[1:]))
+            return c if check_sequence(prefix + [c], th, h, kind).passed else c + 1
+        new = bins(c)
+        if len(set(new)) == len(new) and taken.isdisjoint(new):
+            return c
+        # a failing c + s stays in its bin below the next bin's start, eta[b]
+        return max((b + 1 if eta is None else eta[b]) - s
+                   for (s, _), below, b in zip(partial, [None] + new, new)
+                   if b == below or b in taken)
     candidate = first
     while True:
         prefix.append(candidate)
         if lists:
-            taken.update(bins(candidate, partial) if kind == QUANTIZED_BH else ())
+            taken.update(bins(candidate) if kind == QUANTIZED_BH else ())
             listed += len(partial)
             partial += [(s + candidate, n + 1) for s, n in partial if n + 1 < h]
+            partial.sort()
         needed = listed + len(partial)  # with one more element
         if len(prefix) == K_target or needed > Q:
             break
@@ -299,8 +313,8 @@ def greedy_generate(
             raise BudgetExceeded(f"{needed - 1} subsets to check, more than {MAX_LISTED_SUBSETS}")
         stop = min(stop, top - partial[-1][0])
         # partial == [(0, 0)] (h = 1, or SQLO_s on identity): the start passes
-        while candidate < stop and not (len(partial) == 1 or extends(candidate)):
-            candidate += 1
+        while candidate < stop and len(partial) > 1 and (nxt := fit(candidate)) > candidate:
+            candidate = nxt
         if candidate >= stop:
             break
     return verified_sequence(prefix, th, h, kind)

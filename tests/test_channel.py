@@ -10,6 +10,7 @@ from sqgt import (
     InvalidInput,
     OutOfRange,
     TestOutcome,
+    Thresholds,
     inject_exhaustive,
     inject_explicit,
     inject_random,
@@ -167,3 +168,11 @@ def test_syndromes_are_the_syndrome_of_each_set(code_corpus):
     sets = list(combinations(range(code.n), 2))
     rows = syndromes(code, sets)
     assert [tuple(row) for row in rows.tolist()] == [syndrome(code, D).y for D in sets]
+
+
+def test_syndromes_name_the_first_overflowing_set():
+    # set 1 reaches the top at coordinate 1; set 2 passes it further, at 0
+    code = SimpleNamespace(matrix=np.array([[1, 1, 9], [1, 8, 3]]),
+                           thresholds=Thresholds((0, 4, 8)))
+    with pytest.raises(OutOfRange, match=r"^coordinate 1: sum 8 >= top threshold 8$"):
+        syndromes(code, [[0], [1], [2]])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -32,6 +33,7 @@ from sqgt import (
     save_code,
     unit_thresholds,
     uniform_thresholds,
+    user_code,
     verified_sequence,
     verify_disjunct,
     verify_sq_separable,
@@ -130,6 +132,32 @@ def test_build_refuses_a_base_less_disjunct_than_d(tmp_path, edit_json):
     path = save_code(build(kautz_singleton(5, 2), seq, th, 2), str(tmp_path / "code"))
     edit_json(path, "base", "d", value=1)
     with pytest.raises(CorruptCode, match="base is 1-disjunct < d=2"):
+        load_code(path)
+
+
+def test_build_refuses_a_base_the_decoder_cannot_use_at_d_above_n_minus_1():
+    # the base is 1-disjunct on 3 columns, so d = 3 needs it 2-disjunct; built,
+    # it passed the separability check and decode(syndrome([0, 1])) gave {0, 1, 2}
+    base = user_code(np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]]), 1, 0)
+    th = unit_thresholds(40)
+    seq = verified_sequence([1], th, 3, SQLO_S)
+    for mode in ("strict", "permissive"):
+        with pytest.raises(ParameterError, match="base is 1-disjunct < d=3"):
+            build(base, seq, th, 3, mode)
+
+
+@pytest.mark.parametrize("missing", [True, False])
+@pytest.mark.parametrize("key", ["thresholds", "base"])
+def test_load_names_the_code_file_when_a_path_it_names_cannot_be_read(
+    tmp_path, edit_json, key, missing
+):
+    th = uniform_thresholds(3, 15)
+    path = save_code(build(identity_code(2), verified_sequence([3, 6], th, 2, SQLO_S), th, 2),
+                     str(tmp_path / "code"))
+    target = str(tmp_path / "missing") if missing else str(tmp_path)
+    edit_json(path, key, value=target if key == "thresholds" else
+              {"spec": "file:" + target, "d": 1, "e": 0})
+    with pytest.raises(CorruptCode, match=f"^{re.escape(path)}: "):
         load_code(path)
 
 
@@ -262,6 +290,28 @@ def test_verify_sq_separable_matches_brute_force_on_random_codes(shape):
                 assert got == (expected >= 2 * e + 1), (base.tolist(), multipliers, eta, l, u, e)
                 verdicts.add(got)
     assert verdicts == {True, False, "overflow"}
+
+
+def test_verify_sq_separable_matches_brute_force_on_both_quantizer_routes():
+    # one code per draw, binned through the table (top <= its sums) and, with
+    # a far top threshold added above every sum, through a binary search
+    rng = np.random.default_rng(11)
+    verdicts = set()
+    for _ in range(40):
+        base = (rng.random((4, 5)) < 0.5).astype(int)
+        multipliers = sorted(rng.choice(np.arange(1, 7), size=2, replace=False).tolist())
+        eta = np.cumsum([0, *rng.integers(1, 3, size=20)]).tolist()  # top >= 20 > 3 * 6
+        for l, u in ((1, 1), (1, 3), (2, 2), (2, 3), (3, 3)):
+            expected = min_distance_by_syndrome(_direct_code(base, multipliers, eta), l, u)
+            for table, thresholds in ((True, eta), (False, eta + [10**6])):
+                code = _direct_code(base, multipliers, thresholds)
+                cells = code.m * sum(math.comb(code.n, s) for s in range(l, u + 1))
+                assert (code.thresholds.top <= cells) == table
+                for e in range(3):
+                    got = verify_sq_separable(code, l, u, e)
+                    assert got == (expected >= 2 * e + 1), (base.tolist(), multipliers, l, u, e)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_verify_sq_separable_single_result_vector():

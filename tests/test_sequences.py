@@ -267,7 +267,7 @@ def _plain_greedy(th, h, K, kind):
 
 
 @given(
-    st.lists(st.integers(1, 20), min_size=2, max_size=30),
+    st.lists(st.integers(1, 64), min_size=2, max_size=30),
     st.integers(1, 4),
     st.integers(1, 6),
     st.sampled_from(KINDS),
@@ -281,6 +281,12 @@ def _plain_greedy(th, h, K, kind):
 # candidate below the bin of 3 + 8, and 3 + 10 shares that bin
 @example([1, 1, 3, 2], 2, 5, QUANTIZED_BH)  # (1, 4): 2 and 1 + 2 share a bin,
 # as do 3 and 1 + 3, none of them with a subset of the prefix
+@example([19, 1, 10, 2, 8, 3, 6, 15, 1, 9, 15], 3, 5, QUANTIZED_BH)  # (19, 20,
+# 44): at 30, 19 + 30 and 20 + 30 share the bin [49, 64), so the next
+# candidate is 64 - 20 = 44, three bins up
+@example([1, 4, 6, 9, 13, 18, 14], 2, 4, SQLO_S)  # (1, 10): from 20 the scan
+# jumps to 32, 41 and 50; there 1 + 50 and 10 + 50 share [51, 65), and the
+# jump to 65 - 10 = 55 puts 10 + 55 at the top, which ends the search
 @settings(max_examples=200, deadline=None)
 def test_greedy_matches_plain_scan(gaps, h, K, kind):
     th = _thresholds(gaps)
@@ -289,6 +295,16 @@ def test_greedy_matches_plain_scan(gaps, h, K, kind):
             greedy_generate(th, h, K, kind)
         return
     assert greedy_generate(th, h, K, kind).values == _plain_greedy(th, h, K, kind)
+
+
+def test_greedy_jumps_a_candidate_past_its_shared_bin(monkeypatch):
+    # 10**6 and 5 + 10**6 share a bin, as do all up to 2*10**6 - 6 and their
+    # sums with 5: a scan by 1 tested each of those 10**6 candidates
+    calls = []
+    monkeypatch.setattr(sequences, "bisect_right", lambda *a: calls.append(a) or bisect_right(*a))
+    th = Thresholds((0, 5, 10**6, 2 * 10**6, 3 * 10**6))
+    assert greedy_generate(th, 2, 2, QUANTIZED_BH).values == (5, 2 * 10**6 - 5)
+    assert len(calls) < 20
 
 
 def test_greedy_sqlo_l_stops_below_the_smallest_pair(monkeypatch):
