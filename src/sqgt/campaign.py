@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .channel import inject_exhaustive, inject_random, syndrome
@@ -34,9 +34,6 @@ class CampaignSummary:
         self.truncated |= other.truncated
         self.failure_examples.extend(other.failure_examples)
         self.failure_examples = self.failure_examples[:10]
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "wall_time": round(self.wall_time, 3)}
 
 
 def _defective_sets(code: SqgtCode, d_max: int):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -17,30 +16,19 @@ from .quantization import as_int, as_ints
 class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
     Both pass the integer rule when the outcome is made, which bounds each
-    error position to index y; the positions must strictly increase."""
+    value below by 0 and each error position to index y; the positions must
+    strictly increase."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
 
     def __post_init__(self):
-        y = as_ints(self.y, "result value", InvalidBin)
+        y = as_ints(self.y, "result value", InvalidBin, least=0)
         positions = as_ints(self.error_positions, "error position", least=0, most=len(y) - 1)
         if len(positions) > 1 and any(a >= b for a, b in zip(positions, positions[1:])):
             raise InvalidInput(f"error positions must strictly increase, got {list(positions)}")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "error_positions", positions)
-
-    @property
-    def clean(self) -> bool:
-        return not self.error_positions
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "y": list(self.y),
-                "errors": [[p, self.y[p]] for p in self.error_positions],
-            }
-        )
 
 
 def quantize_sums(thresholds, sums: np.ndarray) -> np.ndarray:

@@ -26,11 +26,15 @@ def _parse_ints(text: str) -> list[int]:
         raise InvalidInput(f"expected space-separated integers, got {text!r}") from exc
 
 
-def _emit(payload: dict, as_json: bool, human: str) -> None:
+def _emit(payload: dict | list, as_json: bool, human: str) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(human)
+
+
+def _outcome_payload(outcome: TestOutcome) -> dict:
+    return {"y": list(outcome.y), "errors": [[p, outcome.y[p]] for p in outcome.error_positions]}
 
 
 def _read_json(path: str):
@@ -47,7 +51,9 @@ def _read_json(path: str):
 def cmd_seq_gen(args) -> int:
     th = load_thresholds(args.thresholds)
     seq = sequences.greedy_generate(th, args.h, args.K, args.kind)
-    _emit(json.loads(seq.to_json()), args.json, " ".join(str(v) for v in seq.values))
+    payload = {"kind": seq.kind, "h": seq.h, "values": list(seq.values),
+               "thresholds": list(seq.thresholds.eta)}
+    _emit(payload, args.json, " ".join(str(v) for v in seq.values))
     return 0
 
 
@@ -108,11 +114,7 @@ def cmd_syndrome(args) -> int:
     code = codebook.load_code(args.code)
     cols = [v - 1 for v in _parse_ints(args.defectives)]
     outcome = syndrome(code, cols)
-    _emit(
-        json.loads(outcome.to_json()),
-        args.json,
-        " ".join(str(v) for v in outcome.y),
-    )
+    _emit(_outcome_payload(outcome), args.json, " ".join(str(v) for v in outcome.y))
     return 0
 
 
@@ -129,11 +131,8 @@ def cmd_inject(args) -> int:
         outcomes = [inject_explicit(y, changes, args.Q)]
     else:
         outcomes = list(inject_exhaustive(y, args.e, args.Q))
-    if args.json:
-        print(json.dumps([json.loads(o.to_json()) for o in outcomes], sort_keys=True))
-    else:
-        for o in outcomes:
-            print(" ".join(str(v) for v in o.y))
+    _emit([_outcome_payload(o) for o in outcomes], args.json,
+          "\n".join(" ".join(str(v) for v in o.y) for o in outcomes))
     return 0
 
 
@@ -161,7 +160,7 @@ def cmd_simulate(args) -> int:
         budget=_field(cfg, "budget", (int,), default=None),
         workers=args.workers,
     )
-    payload = summary.as_dict()
+    payload = {**vars(summary), "wall_time": round(summary.wall_time, 3)}
     _emit(
         payload,
         args.json,

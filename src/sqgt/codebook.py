@@ -129,7 +129,7 @@ def build(
     permissive mode requires eta_Q to exceed the largest sum of any d
     entries in one row of the concatenated matrix, the largest value a
     syndrome of at most d defectives can take, so no such syndrome
-    overflows.
+    overflows.  In both modes every row of the matrix sums below 2**63.
     """
     if mode not in (STRICT, PERMISSIVE):
         raise InvalidInput(f"unknown mode {mode!r}")
@@ -150,6 +150,11 @@ def build(
             )
     q = seq.values[-1] + 1
     matrix = np.hstack([a * base.matrix for a in seq.values])
+    # A row's sum bounds every column-set sum in it, so below 2**63 none wraps in int64.
+    if int(matrix.max()) * matrix.shape[1] >= 2**63:
+        r, total = max(enumerate(map(sum, matrix.tolist())), key=lambda rt: rt[1])
+        if total >= 2**63:
+            raise HeadroomError(f"row {r} of the code matrix sums to {total} >= 2**63")
     if mode == STRICT:
         if th.top <= d * (q - 1):
             raise HeadroomError(

@@ -57,12 +57,12 @@ def as_ints(values, what: str, error: type = InvalidInput,
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Strictly increasing integer thresholds starting at 0."""
+    """Strictly increasing integer thresholds from 0 to at most 2**63 - 1."""
 
     eta: tuple[int, ...]
 
     def __post_init__(self):
-        eta = as_ints(self.eta, "threshold")
+        eta = as_ints(self.eta, "threshold", most=2**63 - 1)
         object.__setattr__(self, "eta", eta)
         if len(eta) < 2:
             raise InvalidInput("need at least two thresholds (Q >= 1)")
@@ -91,26 +91,19 @@ class Thresholds:
         s = self.Q if s is None else as_int(s, "s", 1, self.Q)
         return max(self.eta[i] - self.eta[i - 1] for i in range(1, s + 1))
 
-    def to_json(self) -> str:
-        return json.dumps(list(self.eta))
-
-    @classmethod
-    def from_json(cls, text: str) -> "Thresholds":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
-        if not isinstance(data, list):
-            raise InvalidInput("thresholds must be a JSON array of integers")
-        return cls(tuple(data))
-
 
 def load_thresholds(spec: str) -> Thresholds:
     """Thresholds from a JSON list, or from the path of a file holding one."""
-    if spec.strip().startswith("["):
-        return Thresholds.from_json(spec)
-    with open(spec) as fh:
-        return Thresholds.from_json(fh.read())
+    if not spec.strip().startswith("["):
+        with open(spec) as fh:
+            spec = fh.read()
+    try:
+        data = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise InvalidInput("thresholds must be a JSON array of integers")
+    return Thresholds(tuple(data))
 
 
 def quantize(th: Thresholds, alpha: int) -> int:

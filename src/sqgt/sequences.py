@@ -24,7 +24,6 @@ construction in the package.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -94,16 +93,6 @@ class MultiplierSequence:
     @property
     def K(self) -> int:
         return len(self.values)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "h": self.h,
-                "values": list(self.values),
-                "thresholds": self.thresholds and list(self.thresholds.eta),
-            }
-        )
 
 
 def _subsets_up_to(values, h):

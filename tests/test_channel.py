@@ -14,6 +14,7 @@ from sqgt import (
     inject_exhaustive,
     inject_explicit,
     inject_random,
+    save_code,
     syndrome,
     unit_thresholds,
 )
@@ -39,7 +40,7 @@ def test_syndrome_mixed_rows(code_corpus):
     # sums (21, 18, 3) -> bins (7, 6, 1) under the step-3 thresholds
     outcome = syndrome(code, [0, 3, 6, 4, 7, 2])
     assert outcome.y == (7, 6, 1)
-    assert outcome.clean
+    assert outcome.error_positions == ()
 
 
 def test_syndrome_input_checks(code_corpus):
@@ -68,7 +69,6 @@ def test_inject_explicit():
     hit = inject_explicit(clean, [(1, 5)], Q=8)
     assert hit.y == (3, 5, 1)
     assert hit.error_positions == (1,)
-    assert not hit.clean
     with pytest.raises(InvalidInput):
         inject_explicit(clean, [(1, 0)], Q=8)  # unchanged value
     with pytest.raises(InvalidInput):
@@ -98,7 +98,7 @@ def test_inject_exhaustive_counts():
     # clean first, then 2 coordinates x 7 alternative values
     assert outcomes[0] is clean
     assert len(outcomes) == 1 + 2 * 7
-    assert all(not o.clean for o in outcomes[1:])
+    assert all(o.error_positions for o in outcomes[1:])
     assert len({o.y for o in outcomes}) == len(outcomes)
 
 
@@ -117,11 +117,16 @@ def test_inject_random_deterministic():
     assert all(sum(x != y for x, y in zip(clean.y, o)) <= 1 for o in a)
 
 
-def test_seeded_outcomes_serialise():
+def test_seeded_outcomes_serialise(capsys):
+    # each seeded outcome, given to `inject --explicit`, prints its own errors
     clean = TestOutcome((3, 0, 1, 2))
     for outcome in inject_random(clean, 2, Q=8, seed=5, count=20):
-        errors = json.loads(outcome.to_json())["errors"]
-        assert errors == [[p, outcome.y[p]] for p in outcome.error_positions]
+        if not outcome.error_positions:
+            continue
+        explicit = ",".join(f"{p}:{outcome.y[p]}" for p in outcome.error_positions)
+        assert main(["--json", "inject", "--y", "3 0 1 2", "--Q", "8", "--explicit", explicit]) == 0
+        errors = [[p, outcome.y[p]] for p in outcome.error_positions]
+        assert json.loads(capsys.readouterr().out) == [{"y": list(outcome.y), "errors": errors}]
 
 
 def test_inject_random_bounds_the_error_count():
@@ -138,17 +143,29 @@ def test_inject_random_bounds_the_error_count():
     assert [o.y for o in again] == [o.y for o in drawn]
 
 
-def test_outcome_json():
-    hit = TestOutcome((3, 5, 1), (1,))
-    assert '"errors": [[1, 5]]' in hit.to_json()
+def test_outcome_json(code_corpus, tmp_path, capsys):
+    assert main(["--json", "inject", "--y", "3 0 1", "--Q", "8", "--explicit", "1:5"]) == 0
+    assert capsys.readouterr().out == '[{"errors": [[1, 5]], "y": [3, 5, 1]}]\n'
+    path = save_code(_entry(code_corpus, "qbh-i2-d2"), str(tmp_path / "code"))
+    assert main(["--json", "syndrome", "--code", path, "--defectives", "1 3"]) == 0
+    assert capsys.readouterr().out == '{"errors": [], "y": [3, 0]}\n'
 
 
 @pytest.mark.parametrize("position", [5, 2, -1])
 def test_outcome_rejects_error_positions_outside_y(position):
-    # 5 used to raise an untyped IndexError from to_json, -1 to report the
+    # 5 used to raise an untyped IndexError when printed, -1 to report the
     # error at the last coordinate
     with pytest.raises(InvalidInput, match=f"error position must be [<>]= [01], got {position}$"):
         TestOutcome((3, 0), (position,))
+
+
+def test_outcome_rejects_a_negative_result_value(capsys):
+    # decode refused (-1, 0), but the outcome took it and inject printed it
+    with pytest.raises(InvalidBin, match="result value must be >= 0, got -1$"):
+        TestOutcome((-1, 0))
+    assert main(["inject", "--y", "-1 0", "--Q", "15", "--e", "1"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: result value must be >= 0, got -1\n")
 
 
 @pytest.mark.parametrize("positions", [(1, 1), (2, 0)])
@@ -156,11 +173,6 @@ def test_outcome_rejects_repeated_or_unsorted_error_positions(positions):
     # (1, 1) printed two errors on one coordinate; (2, 0) was stored as given
     with pytest.raises(InvalidInput, match=r"error positions must strictly increase, got \["):
         TestOutcome((3, 0, 1), positions)
-
-
-def test_clean_follows_the_error_positions():
-    assert TestOutcome((3, 5, 1)).clean
-    assert not TestOutcome((3, 5, 1), (1,)).clean
 
 
 def test_syndromes_are_the_syndrome_of_each_set(code_corpus):

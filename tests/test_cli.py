@@ -1,10 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sqgt import CorruptCode, InvalidInput, code_from_config, load_code
 from sqgt.cli import main
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TH_GAPS = "[0, 2, 5, 6, 10, 13, 15, 16, 18, 21]"
 TH_STEP3_TALL = json.dumps(list(range(0, 46, 3)))
 
@@ -345,3 +349,40 @@ def test_simulate_rejects_mistyped_campaign_keys(capsys, tmp_path, edit_json, ke
     path = build_demo_code(capsys, tmp_path) + ".json"
     edit_json(path, key, value=value)
     assert message in run_error(capsys, "simulate", "--config", path)
+
+
+def readme_cli_examples():
+    """(argv, stdout, exit code) of each `sqgt` command in the README's CLI
+    block that a `# -> OUTPUT` note follows, on its line or the next, in
+    order.  A `#    (with --json: OUTPUT)` note below adds the --json run,
+    and `(exit N)` in the comments above a command sets its exit code."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1].split("\n```", 1)[0]
+    lines = block.replace("\\\n", "").splitlines() + ["", ""]
+    examples, comments = [], ""
+    for i, line in enumerate(lines):
+        if not line.startswith("sqgt "):
+            comments += line
+            continue
+        command, _, note = line.partition("# -> ")
+        if not note and lines[i + 1].startswith("# -> "):
+            note = lines[i + 1][len("# -> "):]
+        code = re.search(r"\(exit (\d+)\)", comments)
+        code, comments = int(code[1]) if code else 0, ""
+        if note:
+            argv = shlex.split(command)[1:]
+            examples.append((argv, note.strip(), code))
+            as_json = re.fullmatch(r"#\s+\(with --json: (.*)\)", lines[i + 2])
+            if as_json:
+                examples.append((["--json", *argv], as_json[1], code))
+    return examples
+
+
+def test_readme_cli_examples_print_what_the_readme_says(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert {"2 5 11", "wrote demo.json (2x6, q=13)", "3 0", "1 3", "3 5"} <= {
+        out for _, out, _ in examples
+    }
+    assert [code for _, out, code in examples if out.startswith("fail: ")] == [1]
+    for argv, out, code in examples:
+        assert (main(argv), capsys.readouterr().out) == (code, out + "\n"), argv

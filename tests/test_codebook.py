@@ -161,6 +161,30 @@ def test_load_names_the_code_file_when_a_path_it_names_cannot_be_read(
         load_code(path)
 
 
+def test_build_refuses_a_matrix_row_summing_past_int64():
+    # every threshold fits int64, but a row holds three 2**62 + 1: its
+    # permissive headroom sum wrapped, and syndrome(c, [0, 1]) gave bin -1
+    th = Thresholds((0, 2**62 + 1, 2**63 - 1))
+    seq = verified_sequence([2**62 + 1], th, 2, SQLO_S)
+    message = f"^row 0 of the code matrix sums to {3 * (2**62 + 1)} >= 2"
+    for mode in ("strict", "permissive"):
+        with pytest.raises(HeadroomError, match=message):
+            build(kautz_singleton(3, 2), seq, th, 2, mode)
+    # a row just below 2**63 builds
+    th = Thresholds((0, 2**61, 2**62, 2**63 - 1))
+    seq = verified_sequence([2**61, 2**62 + 2**61 - 1], th, 1, SQLO_S)
+    code = build(identity_code(2), seq, th, 1)
+    assert int(code.matrix.sum(axis=1).max()) == 2**63 - 1
+
+
+def test_code_with_a_threshold_past_int64_is_refused():
+    # this raised an untyped OverflowError from the int64 matrix
+    eta = [2**62 * i for i in range(5)]
+    with pytest.raises(InvalidInput, match=f"threshold must be <= {2**63 - 1}, got {2**63}$"):
+        code_from_config({"thresholds": eta, "base": {"spec": "identity:2"}, "d": 2,
+                          "sequence": {"kind": "sqlo-s", "h": 2, "values": [2**62, 2**63]}})
+
+
 def test_build_revalidates_other_thresholds(th_step3_tall, th_gaps):
     seq = verified_sequence([3, 6, 12], th_step3_tall, 2, QUANTIZED_BH)
     with pytest.raises(ParameterError):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,14 +65,27 @@ def test_invalid_thresholds():
         Thresholds((0, True, 6))
 
 
-def test_json_round_trip(th_gaps):
-    assert Thresholds.from_json(th_gaps.to_json()) == th_gaps
-    with pytest.raises(InvalidInput):
-        Thresholds.from_json("not json")
-    with pytest.raises(InvalidInput):
-        Thresholds.from_json('{"a": 1}')
-    with pytest.raises(InvalidInput):
-        Thresholds.from_json("[0, 1.5, 3]")
+def test_json_round_trip(th_gaps, tmp_path):
+    path = tmp_path / "thresholds.json"
+    path.write_text(json.dumps(list(th_gaps.eta)))
+    assert load_thresholds(str(path)) == th_gaps
+    path.write_text("not json")
+    with pytest.raises(InvalidInput, match="^thresholds are not valid JSON: "):
+        load_thresholds(str(path))
+    path.write_text('{"a": 1}')
+    with pytest.raises(InvalidInput, match="^thresholds must be a JSON array of integers$"):
+        load_thresholds(str(path))
+    with pytest.raises(InvalidInput, match="threshold 1.5 is not an integer"):
+        load_thresholds("[0, 1.5, 3]")
+
+
+def test_thresholds_fit_int64():
+    # 3 * 2**62 + 1 once made the array float64, and a sum past 2**63 wrapped
+    assert Thresholds((0, 2**63 - 1)).top == 2**63 - 1
+    with pytest.raises(InvalidInput, match=f"threshold must be <= {2**63 - 1}, got {2**63}$"):
+        Thresholds((0, 2**62, 2**63))
+    with pytest.raises(InvalidInput, match=f"threshold must be <= {2**63 - 1}, got {5 * 2**61}$"):
+        Thresholds((0, 2**62, 3 * 2**61, 5 * 2**61, 3 * 2**62 + 1))
 
 
 def test_max_gap(th_gaps):

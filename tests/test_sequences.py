@@ -31,6 +31,7 @@ from sqgt import (
     greedy_generate,
     greedy_generate_base,
     knapsack_solve,
+    load_code,
     scaled_construction,
     strong_lex_base,
     subset_sums,
@@ -39,6 +40,7 @@ from sqgt import (
     verified_sequence,
 )
 from sqgt import sequences
+from sqgt.cli import main
 from sqgt.sequences import FAMILIES, FAMILY_TO_KIND, KINDS, _order_violation
 
 from oracles import (
@@ -181,11 +183,18 @@ def test_input_validation(th_gaps):
         verified_sequence([3, 4], uniform_thresholds(3, 8), 1, QUANTIZED_BH)
 
 
-def test_sequence_json_round_trip(th_gaps):
-    seq = verified_sequence([2, 5, 11], th_gaps, 3, SQLO_S)
-    data = json.loads(seq.to_json())
-    th = Thresholds(tuple(data["thresholds"]))
-    assert verified_sequence(data["values"], th, data["h"], data["kind"]) == seq
+def test_sequence_json_round_trip(th_gaps, tmp_path, capsys):
+    # the `--json seq gen` payload is a sequence file `code build` reads back
+    eta = json.dumps(list(th_gaps.eta))
+    assert main(["--json", "seq", "gen", "--thresholds", eta, "--kind", SQLO_S,
+                 "--h", "3", "--K", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data == {"kind": SQLO_S, "h": 3, "values": [2, 5, 11], "thresholds": list(th_gaps.eta)}
+    (tmp_path / "seq.json").write_text(json.dumps(data))
+    assert main(["code", "build", "--thresholds", eta, "--base", "identity:3", "--sequence",
+                 str(tmp_path / "seq.json"), "--d", "1", "--out", str(tmp_path / "code")]) == 0
+    loaded = load_code(str(tmp_path / "code.json")).sequence
+    assert loaded == verified_sequence([2, 5, 11], th_gaps, 3, SQLO_S)
 
 
 # --- the two SQLO_s check routes agree ---
