@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -24,7 +23,6 @@ class CampaignSummary:
     successes: int = 0
     failures: int = 0
     truncated: bool = False
-    wall_time: float = 0.0
     failure_examples: list = field(default_factory=list)
 
     def merge(self, other: "CampaignSummary") -> None:
@@ -96,7 +94,6 @@ def simulate_campaign(
     samples_per_set = as_int(samples_per_set, "samples_per_set", 1)
     budget = None if budget is None else as_int(budget, "budget", 0)
     workers, seed = as_int(workers, "workers", 1), as_int(seed, "seed", 0)
-    start = time.perf_counter()
     sets = list(enumerate(_defective_sets(code, code.d)))
     summary = CampaignSummary()
     if workers == 1:
@@ -120,5 +117,4 @@ def simulate_campaign(
             ]
             for fut in futures:
                 summary.merge(fut.result())
-    summary.wall_time = time.perf_counter() - start
     return summary

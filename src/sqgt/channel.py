@@ -46,22 +46,16 @@ def quantize_sums(thresholds, sums: np.ndarray) -> np.ndarray:
     return np.searchsorted(thresholds.array, sums, side="right") - 1
 
 
-def syndromes(code, sets) -> np.ndarray:
-    """The adder channel and the quantizer: the result vector of each of
-    equally large column sets, one row per set, binned from the
-    coordinate-wise sum of its columns.  OutOfRange names the first set's
-    coordinate whose sum reaches the top threshold."""
-    sums = code.matrix.T[np.asarray(sets, dtype=np.intp)].sum(axis=1)
-    return quantize_sums(code.thresholds, sums)
-
-
 def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
-    """Quantized coordinate-wise sum of the defective columns."""
+    """The adder channel and the quantizer: the bins of the coordinate-wise
+    sum of the defective columns.  OutOfRange names the coordinate whose sum
+    reaches the top threshold."""
     n = code.matrix.shape[1]
     idx = sorted(set(as_ints(defectives, "column index", least=0, most=n - 1)))
     if not idx:
         raise InvalidInput("defective set must be nonempty")
-    return TestOutcome(tuple(syndromes(code, [idx])[0].tolist()))
+    sums = code.matrix.T[np.asarray([idx], dtype=np.intp)].sum(axis=1)
+    return TestOutcome(tuple(quantize_sums(code.thresholds, sums)[0].tolist()))
 
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:

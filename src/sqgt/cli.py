@@ -2,8 +2,9 @@
 
 Subcommands: seq gen|check, base gen|verify, code build|verify,
 syndrome, inject, decode, simulate, report.  All output goes to
-stdout; --json switches to machine-readable JSON.  Exit codes: 0 ok,
-1 domain error, 2 usage error, 3 decoding failure.
+stdout; --json switches to machine-readable JSON, and `--json simulate`
+writes its wall time to stderr.  Exit codes: 0 ok, 1 domain error,
+2 usage error, 3 decoding failure.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import campaign, codebook, decoders, sequences
 from .channel import TestOutcome, inject_exhaustive, inject_explicit, syndrome
 from .codebook import _field
 from .errors import DecodingFailure, InvalidInput, SqgtError
-from .quantization import as_int, load_thresholds
+from .quantization import as_int, load_thresholds, read_file
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -35,14 +37,6 @@ def _emit(payload: dict | list, as_json: bool, human: str) -> None:
 
 def _outcome_payload(outcome: TestOutcome) -> dict:
     return {"y": list(outcome.y), "errors": [[p, outcome.y[p]] for p in outcome.error_positions]}
-
-
-def _read_json(path: str):
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: not valid JSON: {exc}") from exc
 
 
 # --- subcommand handlers ---
@@ -83,8 +77,8 @@ def cmd_base_verify(args) -> int:
 
 
 def cmd_code_build(args) -> int:
-    if args.sequence:
-        sequence = _read_json(args.sequence)
+    if args.sequence is not None:
+        sequence = read_file(args.sequence, as_json=True)
     elif args.values:
         sequence = {"kind": args.kind, "h": args.h, "values": _parse_ints(args.values)}
     else:
@@ -147,10 +141,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _read_json(args.config)
+    cfg = read_file(args.config, as_json=True)
     code = codebook.code_from_config(cfg)
     err = _field(cfg, "errors", (dict,), default={})
     samples = as_int(_field(err, "samples", (int,), "errors.", 10), "key 'errors.samples'", 1)
+    start = time.perf_counter()
     summary = campaign.simulate_campaign(
         code,
         e_inject=_field(err, "e", (int,), "errors.", None),
@@ -160,18 +155,19 @@ def cmd_simulate(args) -> int:
         budget=_field(cfg, "budget", (int,), default=None),
         workers=args.workers,
     )
-    payload = {**vars(summary), "wall_time": round(summary.wall_time, 3)}
+    if args.json:  # on stderr, so that stdout is the same on every run
+        print(json.dumps({"wall_time": round(time.perf_counter() - start, 3)}), file=sys.stderr)
     _emit(
-        payload,
+        vars(summary),
         args.json,
-        f"cases={payload['cases']} successes={payload['successes']} "
-        f"failures={payload['failures']} truncated={payload['truncated']}",
+        f"cases={summary.cases} successes={summary.successes} "
+        f"failures={summary.failures} truncated={summary.truncated}",
     )
     return 0 if summary.failures == 0 and not summary.truncated else 1
 
 
 def cmd_report(args) -> int:
-    th = load_thresholds(args.thresholds) if args.thresholds else None
+    th = None if args.thresholds is None else load_thresholds(args.thresholds)
     report = codebook.feasibility_report(
         n=args.n, d=args.d, Q=args.Q, K=args.K, h=args.h, q=args.q, th=th
     )

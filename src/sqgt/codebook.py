@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     SqgtError,
 )
-from .quantization import Thresholds, as_int, as_ints, load_thresholds, quantize
+from .quantization import Thresholds, as_int, as_ints, load_thresholds, quantize, read_file
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
@@ -347,8 +347,7 @@ def _base_from_spec(spec: str, d: int | None, e: int | None) -> BinaryDisjunctCo
     if kind == "file":
         if d is None or e is None:
             raise InvalidInput("a file: base needs base.d and base.e")
-        with open(rest) as fh:
-            return user_code(matrix_from_text(fh.read()), d, e)
+        return user_code(matrix_from_text(read_file(rest)), d, e)
     try:
         nums = [float(v) if i == 2 else int(v) for i, v in enumerate(rest.split(","))]
         if min(nums) < 0:
@@ -425,20 +424,20 @@ def save_code(code: SqgtCode, prefix: str) -> str:
         "mode": code.mode,
     }
     lines = (f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in description.items())
-    with open(path, "w") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInput(f"cannot write {path!r}: {reason}") from exc
     return path
 
 
 def load_code(path: str) -> SqgtCode:
     """Rebuild a code from the file save_code wrote (see code_from_config);
-    CorruptCode names the file and what is wrong with it."""
+    CorruptCode names the file and what is wrong with it, or with a file
+    it names."""
     try:
-        with open(path) as fh:
-            description = json.load(fh)
-    except ValueError as exc:
-        raise CorruptCode(f"{path}: not valid JSON: {exc}") from exc
-    try:
-        return code_from_config(description)
-    except (SqgtError, OSError) as exc:  # OSError: a thresholds or file: base path
+        return code_from_config(read_file(path, as_json=True))
+    except SqgtError as exc:
         raise CorruptCode(f"{path}: {exc}") from exc

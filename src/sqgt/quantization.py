@@ -92,14 +92,30 @@ class Thresholds:
         return max(self.eta[i] - self.eta[i - 1] for i in range(1, s + 1))
 
 
+def read_file(path: str, as_json: bool = False):
+    """The text of the UTF-8 file at `path`, or with as_json the value it
+    holds, the one read of every file the package takes.  A file that cannot
+    be read (missing, a directory, a NUL byte in the path, not UTF-8), or
+    with as_json is not JSON, is InvalidInput naming the path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: the NUL, or the decoding
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInput(f"cannot read {path!r}: {reason}") from exc
+    try:
+        return json.loads(text) if as_json else text
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise InvalidInput(f"{path!r} is not valid JSON: {exc}") from exc
+
+
 def load_thresholds(spec: str) -> Thresholds:
     """Thresholds from a JSON list, or from the path of a file holding one."""
     if not spec.strip().startswith("["):
-        with open(spec) as fh:
-            spec = fh.read()
+        spec = read_file(spec)
     try:
         data = json.loads(spec)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidInput("thresholds must be a JSON array of integers")

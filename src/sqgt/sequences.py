@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .errors import (
     BudgetExceeded,
@@ -108,7 +108,7 @@ def _fmt(subset) -> str:
 
 def _subsets_needed(K: int, h: int) -> int:
     """The empty set and the subsets of at most h of K elements."""
-    return sum(math.comb(K, i) for i in range(min(h, K) + 1))
+    return sum(map(math.comb, repeat(K), range(min(h, K) + 1)))
 
 
 def _cardinality_feasible(needed: int, h: int, Q: int) -> str | None:
@@ -267,9 +267,8 @@ def greedy_generate(
             f"even the single-element sequence [{first}] fails the {kind} check")
     lists = th is not None or kind != SQLO_S
     eta, top, Q = (None, math.inf, math.inf) if th is None else (th.eta, th.top, th.Q)
-    # listed counts the prefix's subsets of <= h elements, the empty one too,
-    # and bins (shifted up by 1 on thresholds) are those of c + each sum
-    prefix, partial, taken, listed = [], [(0, 0)], set(), 1
+    # bins (shifted up by 1 on thresholds) are those of c + each partial sum
+    prefix, partial, taken = [], [(0, 0)], set()
     bins = lambda c: [c + s if eta is None else bisect_right(eta, c + s) for s, _ in partial]
     def fit(c):
         """c if it extends the prefix, else the next candidate that may."""
@@ -287,10 +286,9 @@ def greedy_generate(
         prefix.append(candidate)
         if lists:
             taken.update(bins(candidate) if kind == QUANTIZED_BH else ())
-            listed += len(partial)
             partial += [(s + candidate, n + 1) for s, n in partial if n + 1 < h]
             partial.sort()
-        needed = listed + len(partial)  # with one more element
+        needed = _subsets_needed(len(prefix) + 1, h)  # with one more element
         if len(prefix) == K_target or needed > Q:
             break
         # prefix sums of <= h elements lie below the top, so both bins exist

@@ -1,5 +1,4 @@
 import json
-from itertools import combinations
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +17,7 @@ from sqgt import (
     syndrome,
     unit_thresholds,
 )
-from sqgt.channel import syndromes
+from sqgt.channel import quantize_sums
 from sqgt.cli import main
 
 from oracles import support_signature
@@ -175,16 +174,9 @@ def test_outcome_rejects_repeated_or_unsorted_error_positions(positions):
         TestOutcome((3, 0, 1), positions)
 
 
-def test_syndromes_are_the_syndrome_of_each_set(code_corpus):
-    code = _entry(code_corpus, "qbh-i3-d2")
-    sets = list(combinations(range(code.n), 2))
-    rows = syndromes(code, sets)
-    assert [tuple(row) for row in rows.tolist()] == [syndrome(code, D).y for D in sets]
-
-
 def test_syndromes_name_the_first_overflowing_set():
-    # set 1 reaches the top at coordinate 1; set 2 passes it further, at 0
-    code = SimpleNamespace(matrix=np.array([[1, 1, 9], [1, 8, 3]]),
-                           thresholds=Thresholds((0, 4, 8)))
+    # the sums of three sets: set 1 reaches the top at coordinate 1; set 2
+    # passes it further, at 0
+    sums = np.array([[1, 1], [1, 8], [9, 3]])
     with pytest.raises(OutOfRange, match=r"^coordinate 1: sum 8 >= top threshold 8$"):
-        syndromes(code, [[0], [1], [2]])
+        quantize_sums(Thresholds((0, 4, 8)), sums)

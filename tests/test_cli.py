@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,13 +199,23 @@ def test_simulate_deterministic(capsys, tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    rc1, out1 = run(capsys, "--json", "simulate", "--config", str(path))
-    rc2, out2 = run(capsys, "--json", "simulate", "--config", str(path))
+    runs = []
+    for _ in range(2):
+        rc = main(["--json", "simulate", "--config", str(path)])
+        runs.append((rc, capsys.readouterr()))
+    (rc1, a), (rc2, b) = runs
     assert rc1 == rc2 == 0
-    a, b = json.loads(out1), json.loads(out2)
-    a.pop("wall_time"), b.pop("wall_time")
-    assert a == b
-    assert a["failures"] == 0 and a["cases"] == 21
+    assert a.out == b.out
+    summary = json.loads(a.out)
+    assert summary["failures"] == 0 and summary["cases"] == 21
+    # the time is one line on stderr, never on stdout
+    assert "wall_time" not in summary
+    for captured in (a, b):
+        assert captured.err.count("\n") == 1
+        assert list(json.loads(captured.err)) == ["wall_time"]
+    rc, out = run(capsys, "simulate", "--config", str(path))
+    assert (rc, out) == (0, "cases=21 successes=21 failures=0 truncated=False\n")
+    assert capsys.readouterr().err == ""
 
 
 def test_report(capsys):
@@ -324,6 +337,38 @@ def test_missing_files_are_errors_not_tracebacks(capsys, tmp_path):
         "--base", "file:" + missing, "--base-d", "1", "--base-e", "0",
         "--values", "3 6", "--d", "1", "--out", str(tmp_path / "demo"),
     )
+    # a thresholds file that is not UTF-8 was a UnicodeDecodeError traceback
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b"\xff\xfe[0, 3, 6]")
+    err = run_error(capsys, "seq", "gen", "--thresholds", str(latin), "--kind", "sqlo-s",
+                    "--h", "2", "--K", "2")
+    assert f"cannot read {str(latin)!r}: 'utf-8' codec can't decode" in err
+    # a --sequence file that cannot be read, and an --out that names a directory
+    (tmp_path / "taken.json").mkdir()
+    code_build = ["code", "build", "--thresholds", TH_STEP3_TALL, "--base", "identity:2",
+                  "--d", "1"]
+    run_error(capsys, *code_build, "--sequence", missing, "--out", str(tmp_path / "demo"))
+    err = run_error(capsys, *code_build, "--values", "3 6", "--out", str(tmp_path / "taken"))
+    assert f"cannot write {str(tmp_path / 'taken.json')!r}: Is a directory" in err
+    # an empty path is a path: `report --thresholds ''` printed {"notes": []}
+    # and exited 0, and `--sequence ''` fell back to --kind, --h and --K
+    assert "cannot read ''" in run_error(capsys, "report", "--thresholds", "")
+    err = run_error(capsys, *code_build, "--sequence", "", "--out", str(tmp_path / "demo"))
+    assert "cannot read ''" in err
+
+
+def test_a_closed_stdout_is_one_error_line():
+    # 37,521 outcomes overrun the pipe: `... | head -1` closes it mid-write
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    argv = ["inject", "--y", " ".join(["3"] * 20), "--Q", "15", "--e", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "sqgt.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"3 " * 19 + b"3\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == "error: [Errno 32] Broken pipe\n"
 
 
 def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):
@@ -380,9 +425,15 @@ def readme_cli_examples():
 def test_readme_cli_examples_print_what_the_readme_says(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     examples = readme_cli_examples()
-    assert {"2 5 11", "wrote demo.json (2x6, q=13)", "3 0", "1 3", "3 5"} <= {
+    assert {"2 5 11", "wrote demo.json (2x6, q=13)", "3 0", "1 3", "3 5",
+            "cases=21 successes=21 failures=0 truncated=False"} <= {
         out for _, out, _ in examples
     }
+    # simulate runs on the pool, plain and with --json
+    assert [argv for argv, _, _ in examples if "simulate" in argv] == [
+        [*json_flag, "simulate", "--config", "demo.json", "--workers", "4"]
+        for json_flag in ([], ["--json"])
+    ]
     assert [code for _, out, code in examples if out.startswith("fail: ")] == [1]
     for argv, out, code in examples:
         assert (main(argv), capsys.readouterr().out) == (code, out + "\n"), argv

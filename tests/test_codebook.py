@@ -551,6 +551,24 @@ def test_load_rejects_sidecar_that_is_not_json(tmp_path):
         load_code(path)
 
 
+def test_load_and_save_turn_every_file_fault_into_a_typed_error(tmp_path):
+    # a directory raised IsADirectoryError; a NUL path was "not valid JSON"
+    with pytest.raises(CorruptCode, match=f"cannot read {re.escape(repr(str(tmp_path)))}: "):
+        load_code(str(tmp_path))
+    with pytest.raises(CorruptCode, match="embedded null byte") as exc:
+        load_code("a\x00b")
+    assert "not valid JSON" not in str(exc.value)
+    # a file nested too deep for the JSON parser raised RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    with pytest.raises(CorruptCode, match="is not valid JSON: maximum recursion depth"):
+        load_code(str(deep))
+    th = uniform_thresholds(3, 15)
+    code = build(identity_code(2), verified_sequence([3, 6], th, 2, SQLO_S), th, 2)
+    with pytest.raises(InvalidInput, match=r"^cannot write 'a\\x00b.json': embedded null byte$"):
+        save_code(code, "a\x00b")
+
+
 @pytest.mark.parametrize("key", ["d", "base", "sequence", "thresholds"])
 def test_load_rejects_sidecar_without_a_key(tmp_path, edit_json, key):
     path = _saved_identity_code(tmp_path, [3, 6])

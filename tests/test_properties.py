@@ -48,11 +48,16 @@ def untyped_escapes(code_corpus, tmp_path, mutations, seed):
     for name, code in code_corpus:
         with open(save_code(code, str(tmp_path / name))) as fh:
             saved.append(json.load(fh))
-    missing, directory = str(tmp_path / "missing"), str(tmp_path)
+    missing, directory, nul = str(tmp_path / "missing"), str(tmp_path), "a\x00b"
+    latin = tmp_path / "latin1"  # not UTF-8
+    latin.write_bytes(b"\xff\xfe[0, 3, 6]")
+    latin = str(latin)
     pool = [2**62, 2**63 - 1, 2**63, 2**64, -1, float("nan"), 3.5, True, False, None,
             [[1, 0], [1]], [0, [3, 6]], {}, missing, directory, "file:" + directory,
             {"spec": "file:" + directory, "d": 1, "e": 0}, {"spec": "file:" + missing},
-            "identity:x", "ks:3", "nope:1", "random:4,-1", {"spec": "ks:3,2,1"}]
+            "identity:x", "ks:3", "nope:1", "random:4,-1", {"spec": "ks:3,2,1"},
+            nul, latin, "file:" + nul, "file:" + latin,
+            {"spec": "file:" + nul, "d": 1, "e": 0}, {"spec": "file:" + latin, "d": 1, "e": 0}]
     rng, path, escapes = random.Random(seed), str(tmp_path / "mutated.json"), []
     for i in range(mutations):
         description = copy.deepcopy(rng.choice(saved))

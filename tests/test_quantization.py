@@ -72,6 +72,9 @@ def test_json_round_trip(th_gaps, tmp_path):
     path.write_text("not json")
     with pytest.raises(InvalidInput, match="^thresholds are not valid JSON: "):
         load_thresholds(str(path))
+    # nested past the parser's depth: a RecursionError escaped
+    with pytest.raises(InvalidInput, match="^thresholds are not valid JSON: maximum recursion"):
+        load_thresholds("[" * 100_000)
     path.write_text('{"a": 1}')
     with pytest.raises(InvalidInput, match="^thresholds must be a JSON array of integers$"):
         load_thresholds(str(path))
