@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -99,6 +98,8 @@ def simulate_campaign(
     if workers == 1:
         summary = _run_chunk(code, sets, e_inject, policy, seed, samples_per_set, budget)
     else:
+        # imported here: the pool's modules add about 1.5 MB to every process
+        from concurrent.futures import ProcessPoolExecutor
         chunk_size = max(1, len(sets) // workers)
         # Every set has the same number of outcomes, so the budget's first
         # cases in enumeration order end at a known place in each chunk.

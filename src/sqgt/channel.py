@@ -17,7 +17,8 @@ class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
     Both pass the integer rule when the outcome is made, which bounds each
     value below by 0 and each error position to index y; the positions must
-    strictly increase."""
+    strictly increase.  The injectors check their input once and make each
+    outcome they yield without the check: it is valid by construction."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
@@ -73,23 +74,36 @@ def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q:
     return TestOutcome(tuple(y), tuple(sorted(positions)))
 
 
+def _injected(y: tuple[int, ...], positions: tuple[int, ...]) -> TestOutcome:
+    """A TestOutcome made unchecked: each value lies in range(Q) or comes from
+    a checked outcome, and the positions come from combinations(range(m), t)."""
+    outcome = object.__new__(TestOutcome)
+    vars(outcome).update(y=y, error_positions=positions)
+    return outcome
+
+
 def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutcome]:
     """Stream every outcome differing from the input in <= e coordinates,
     each changed entry taking any other value in [Q].  The clean outcome
-    is emitted first (the zero-change pattern)."""
+    is emitted first (the zero-change pattern).  The input is checked once;
+    the outcomes are valid by construction, so they are not checked."""
     e, Q = as_int(e, "e", 0), as_int(Q, "Q", 1)
-    m = len(outcome.y)
+    if not isinstance(outcome, TestOutcome):
+        outcome = TestOutcome(outcome.y)
+    y = outcome.y
     yield outcome
     for t in range(1, e + 1):
-        for coords in combinations(range(m), t):
-            choices = [
-                [v for v in range(Q) if v != outcome.y[k]] for k in coords
-            ]
-            for vals in product(*choices):
-                y = list(outcome.y)
-                for k, v in zip(coords, vals):
-                    y[k] = v
-                yield TestOutcome(tuple(y), tuple(coords))
+        for coords in combinations(range(len(y)), t):
+            # the changes before the last coordinate, then each last value
+            k = coords[-1]
+            for vals in product(*[[v for v in range(Q) if v != y[j]] for j in coords[:-1]]):
+                z = list(y)
+                for j, v in zip(coords, vals):
+                    z[j] = v
+                pre, post = tuple(z[:k]), y[k + 1 :]
+                for v in range(Q):
+                    if v != y[k]:
+                        yield _injected(pre + (v,) + post, coords)
 
 
 def inject_random(
@@ -97,16 +111,20 @@ def inject_random(
 ) -> Iterator[TestOutcome]:
     """Deterministic seeded sampling of <= e-error patterns; at most m
     coordinates can change.  The seed is an int or a tuple of ints, such as
-    a campaign's (seed, defective-set index), each at least 0."""
+    a campaign's (seed, defective-set index), each at least 0.  As in
+    inject_exhaustive, only the input is checked."""
     e, Q, count = as_int(e, "e", 0), as_int(Q, "Q", 1), as_int(count, "count", 0)
     seed = as_ints(seed, "seed", least=0) if isinstance(seed, tuple) else as_int(seed, "seed", 0)
-    rng = np.random.default_rng(seed)
-    m = len(outcome.y)
+    if not isinstance(outcome, TestOutcome):
+        outcome = TestOutcome(outcome.y)
+    y, rng = outcome.y, np.random.default_rng(seed)
+    m = len(y)
     for _ in range(count):
         t = int(rng.integers(0, min(e, m) + 1))
         coords = tuple(sorted(rng.choice(m, size=t, replace=False).tolist())) if t else ()
-        y = list(outcome.y)
+        z = list(y)
         for k in coords:
-            others = [v for v in range(Q) if v != outcome.y[k]]
-            y[k] = int(others[rng.integers(0, len(others))])
-        yield TestOutcome(tuple(y), coords)
+            # an index into the values of range(Q) other than y[k]
+            i = int(rng.integers(0, Q - (y[k] < Q)))
+            z[k] = i + (i >= y[k])
+        yield _injected(tuple(z), coords)

@@ -79,7 +79,7 @@ def cmd_base_verify(args) -> int:
 def cmd_code_build(args) -> int:
     if args.sequence is not None:
         sequence = read_file(args.sequence, as_json=True)
-    elif args.values:
+    elif args.values is not None:
         sequence = {"kind": args.kind, "h": args.h, "values": _parse_ints(args.values)}
     else:
         sequence = {"kind": args.kind, "h": args.h, "K": args.K}
@@ -114,7 +114,7 @@ def cmd_syndrome(args) -> int:
 
 def cmd_inject(args) -> int:
     y = TestOutcome(tuple(_parse_ints(args.y)))
-    if args.explicit:
+    if args.explicit is not None:
         changes = []
         for part in args.explicit.split(","):
             pos, _, val = part.partition(":")

@@ -1,10 +1,11 @@
 """Reference routes the tests compare the package against; none of them
 shares code with the routes it checks, except that the base scan tries
 its candidates with check_base, which is itself checked against the
-pairwise definitions."""
+pairwise definitions, and the reference campaign decodes with decode,
+which is itself checked against oracle_decode."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -13,9 +14,11 @@ from sqgt import (
     OutOfRange,
     TestOutcome,
     check_base,
+    decode,
     quantize,
     syndrome,
 )
+from sqgt.campaign import SEEDED_RANDOM
 
 
 def _subsets_up_to(values, h):
@@ -143,3 +146,65 @@ def recursive_superincreasing(h: int, K: int) -> tuple[int, ...]:
     for i in range(K):
         values.append(2**i if i < h else 1 + sum(values[i - h : i]))
     return tuple(values)
+
+
+def reference_inject_exhaustive(outcome, e: int, Q: int):
+    """inject_exhaustive's outcomes in its order, each made through the
+    public, checked TestOutcome: the clean outcome, then every set of t <= e
+    coordinates, each changed to every other value in [Q]."""
+    clean = TestOutcome(outcome.y)
+    yield clean
+    for t in range(1, e + 1):
+        for coords in combinations(range(len(clean.y)), t):
+            choices = [[v for v in range(Q) if v != clean.y[k]] for k in coords]
+            for vals in product(*choices):
+                y = list(clean.y)
+                for k, v in zip(coords, vals):
+                    y[k] = v
+                yield TestOutcome(tuple(y), coords)
+
+
+def reference_inject_random(outcome, e: int, Q: int, seed, count: int):
+    """inject_random's seeded outcomes, each made through TestOutcome, with
+    each new value drawn as an index into a list of the other values."""
+    clean = TestOutcome(outcome.y)
+    rng = np.random.default_rng(seed)
+    m = len(clean.y)
+    for _ in range(count):
+        t = int(rng.integers(0, min(e, m) + 1))
+        coords = tuple(sorted(rng.choice(m, size=t, replace=False).tolist())) if t else ()
+        y = list(clean.y)
+        for k in coords:
+            others = [v for v in range(Q) if v != clean.y[k]]
+            y[k] = int(others[rng.integers(0, len(others))])
+        yield TestOutcome(tuple(y), coords)
+
+
+def reference_campaign(code, e_inject: int, policy: str, seed: int = 0,
+                       samples_per_set: int = 10, budget: int | None = None) -> dict:
+    """simulate_campaign's counts on one process, from the reference
+    injectors and one scalar decode per case."""
+    cases = successes = 0
+    examples = []
+    sets = [D for size in range(1, code.d + 1) for D in combinations(range(code.n), size)]
+    for index, D in enumerate(sets):
+        clean = syndrome(code, D)
+        if policy == SEEDED_RANDOM:
+            outcomes = reference_inject_random(
+                clean, e_inject, code.thresholds.Q, (seed, index), samples_per_set)
+        else:
+            outcomes = reference_inject_exhaustive(clean, e_inject, code.thresholds.Q)
+        for outcome in outcomes:
+            if budget is not None and cases >= budget:
+                return {"cases": cases, "successes": successes, "failures": cases - successes,
+                        "truncated": True, "failure_examples": examples}
+            cases += 1
+            try:
+                ok = decode(outcome, code).defectives == frozenset(D)
+            except DecodingFailure:
+                ok = False
+            successes += ok
+            if not ok and len(examples) < 10:
+                examples.append({"defectives": list(D), "y": list(outcome.y)})
+    return {"cases": cases, "successes": successes, "failures": cases - successes,
+            "truncated": False, "failure_examples": examples}

@@ -14,6 +14,8 @@ from sqgt import (
 from sqgt import campaign
 from sqgt.campaign import EXHAUSTIVE, SEEDED_RANDOM
 
+from oracles import reference_campaign
+
 
 def _entry(code_corpus, name):
     return dict(code_corpus)[name]
@@ -114,3 +116,15 @@ def test_summary_merge():
     a.merge(b)
     assert (a.cases, a.successes, a.failures) == (5, 4, 1)
     assert a.truncated
+
+
+def test_summaries_match_the_reference_campaign(code_corpus):
+    # unchecked injected outcomes leave every count and example as the
+    # checked reference injectors leave them, under contract (exhaustive at
+    # e) and past it (seeded-random at e + 1); the hot code runs on a budget
+    for name, code in code_corpus:
+        budget = 20_000 if name == "sqs-ks5-k2-d2-e1" else None
+        for e, policy in ((code.e, EXHAUSTIVE), (code.e + 1, SEEDED_RANDOM)):
+            got = simulate_campaign(code, e, policy, seed=7, budget=budget)
+            want = reference_campaign(code, e, policy, seed=7, budget=budget)
+            assert vars(got) == want, (name, policy)

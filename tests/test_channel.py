@@ -20,7 +20,7 @@ from sqgt import (
 from sqgt.channel import quantize_sums
 from sqgt.cli import main
 
-from oracles import support_signature
+from oracles import reference_inject_exhaustive, reference_inject_random, support_signature
 
 
 def _entry(code_corpus, name):
@@ -114,6 +114,58 @@ def test_inject_random_deterministic():
     b = [o.y for o in inject_random(clean, 1, Q=8, seed=5, count=20)]
     assert a == b
     assert all(sum(x != y for x, y in zip(clean.y, o)) <= 1 for o in a)
+
+
+def _some_sets(code):
+    """The first and last single columns and the last pair, as far as d allows."""
+    sets = [(0,), (code.n - 1,)]
+    return sets + [(code.n - 2, code.n - 1)] if code.d >= 2 else sets
+
+
+def _as_fields(outcomes):
+    return [(o.y, o.error_positions) for o in outcomes]
+
+
+def test_injectors_match_the_checked_reference(code_corpus):
+    # the injectors make their outcomes unchecked; each must be the outcome
+    # the checked constructor makes, in the reference's order
+    for name, code in code_corpus:
+        Q = code.thresholds.Q
+        top = 3 if code.m <= 3 else 2 if code.m <= 9 else 1
+        for D in _some_sets(code):
+            clean = syndrome(code, D)
+            for e in range(top + 1):
+                got = list(inject_exhaustive(clean, e, Q))
+                assert _as_fields(got) == _as_fields(reference_inject_exhaustive(clean, e, Q)), \
+                    (name, D, e)
+                assert all(o == TestOutcome(o.y, o.error_positions) for o in got)
+            for seed in (0, 7, (3, 11)):
+                for e in range(3):
+                    got = list(inject_random(clean, e, Q, seed, 25))
+                    want = reference_inject_random(clean, e, Q, seed, 25)
+                    assert _as_fields(got) == _as_fields(want), (name, D, seed, e)
+                    assert all(o == TestOutcome(o.y, o.error_positions) for o in got)
+
+
+def test_injectors_match_the_reference_above_q():
+    # a value at or above Q has Q others, not Q - 1
+    clean = TestOutcome((9, 0, 3))
+    got = inject_exhaustive(clean, 3, 4)
+    assert _as_fields(got) == _as_fields(reference_inject_exhaustive(clean, 3, 4))
+    for seed in range(5):
+        got = inject_random(clean, 3, 4, seed, 30)
+        assert _as_fields(got) == _as_fields(reference_inject_random(clean, 3, 4, seed, 30))
+
+
+@pytest.mark.parametrize("value", [-1, 3.5])
+def test_injectors_check_an_input_that_is_not_an_outcome(value):
+    # the check runs once per call, on the input; it still names the value
+    fake = SimpleNamespace(y=(3, value, 1))
+    match = "result value must be >= 0, got -1$" if value == -1 else "result value 3.5 is not"
+    with pytest.raises(InvalidBin, match=match):
+        list(inject_exhaustive(fake, 1, 8))
+    with pytest.raises(InvalidBin, match=match):
+        list(inject_random(fake, 1, 8, 5, 3))
 
 
 def test_seeded_outcomes_serialise(capsys):

@@ -357,6 +357,18 @@ def test_missing_files_are_errors_not_tracebacks(capsys, tmp_path):
     assert "cannot read ''" in err
 
 
+def test_empty_values_are_parsed_not_dropped(capsys, tmp_path):
+    # `code build --values ''` built a greedy code from --kind, --h and --K,
+    # and `inject --explicit ''` fell back to exhaustive injection at --e 0
+    err = run_error(capsys, "code", "build", "--thresholds", TH_STEP3_TALL,
+                    "--base", "identity:2", "--d", "1", "--values", "",
+                    "--out", str(tmp_path / "demo"))
+    assert err == "error: empty sequence\n"
+    assert not (tmp_path / "demo.json").exists()
+    err = run_error(capsys, "inject", "--y", "3 0", "--Q", "4", "--explicit", "")
+    assert err == "error: expected pos:val, got ''\n"
+
+
 def test_a_closed_stdout_is_one_error_line():
     # 37,521 outcomes overrun the pipe: `... | head -1` closes it mid-write
     env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
