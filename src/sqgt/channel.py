@@ -122,6 +122,8 @@ def inject_random(
     for _ in range(count):
         t = int(rng.integers(0, min(e, m) + 1))
         coords = tuple(sorted(rng.choice(m, size=t, replace=False).tolist())) if t else ()
+        if Q == 1:  # a 0 has no other value: as in inject_exhaustive, it stays
+            coords = tuple(k for k in coords if y[k])
         z = list(y)
         for k in coords:
             # an index into the values of range(Q) other than y[k]

@@ -57,6 +57,7 @@ class DecoderPlan:
 
     coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
     row_masks: tuple[int, ...]  # the same rows, bit k for row k
+    row_bits: tuple[int, ...]  # 1 << k for each row k
     block_of: dict[int, int]  # multiplier value -> block index
     # bin -> subset or None: whole for quantized-bh, filled by decode for SQLO
     subset_in_bin: dict[int, frozenset[int] | None]
@@ -98,6 +99,7 @@ class SqgtCode:
         return DecoderPlan(
             coords=coords,
             row_masks=tuple(sum(1 << k for k in rows) for rows in coords),
+            row_bits=tuple(1 << k for k in range(self.m)),
             block_of={a: j for j, a in enumerate(self.sequence.values)},
             subset_in_bin={quantize(self.thresholds, total): s for total, s in table},
         )

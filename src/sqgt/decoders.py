@@ -7,16 +7,18 @@ witness coordinates holds the sum of its multipliers, and the kind's
 ordering puts at most one subset of at most d multipliers there.  The
 plan's bin-to-subset table holds it: whole from the start for quantized
 B_h codes, filled for the SQLO kinds on a bin's first sight by one knapsack
-call over the whole bin, O(K) whatever the bin width.  Per-code state
-(each base column's rows, as a tuple and as an int bitmask, the block map,
-the table) comes from the code's shared plan, ``SqgtCode.plan``; with the
-masks, support recovery is one popcount per base column.  ``decode``
-checks y once; its stages check y, and i, only when called directly.
+call over the whole bin, O(K) whatever the bin width.  The per-code state,
+``SqgtCode.plan``, holds each base column's rows as a tuple and a bitmask,
+one bit per row, the block map and the table: y's zero mask is one C-level
+pass over the row bits, and each support one popcount.  ``decode`` checks
+y once; its stages check y, and i, only when called directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 
 from .channel import TestOutcome
 from .codebook import SqgtCode
@@ -36,9 +38,9 @@ def recover_support(y, code: SqgtCode) -> list[int]:
     """Base columns whose nonzero coordinates exceed y in at most e places.
     A binary entry exceeds y only where y is 0, so a column's count is the
     number of y's zero rows in its row mask."""
-    zeros = sum([1 << k for k, v in enumerate(_result_values(y, code)) if not v])
-    e = code.e
-    return [i for i, rows in enumerate(code.plan.row_masks) if (zeros & rows).bit_count() <= e]
+    plan, e = code.plan, code.e
+    zeros = sum(compress(plan.row_bits, map(not_, _result_values(y, code))))
+    return [i for i, rows in enumerate(plan.row_masks) if (zeros & rows).bit_count() <= e]
 
 
 def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
@@ -84,27 +86,20 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     majority bin of its 2e+1 witness coordinates."""
     yv = _result_values(y, code)
     supports = recover_support(yv, code)
-    if not supports:
-        return DecodedResult(
-            frozenset(), (), warning="no defectives recovered or contract violated"
-        )
-    plan = code.plan
-    table = plan.subset_in_bin
-    eta = code.thresholds.eta
-    e = code.e
+    table, block_of, base_n, e = code.plan.subset_in_bin, code.plan.block_of, code.base.n, code.e
     defectives: set[int] = set()
     per_support = []
     for i in supports:
-        witnesses = select_witness_coords(yv, code, i)
         # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
         # is the middle one's.  Each kind puts at most one subset sum in it,
         # held by the table; an SQLO bin is solved on its first sight (bin 0
         # holds none, as every element is at least eta_1).
-        r = yv[witnesses[e]]
+        votes = [yv[j] for j in select_witness_coords(yv, code, i)]
+        r = votes[e]
         subset = None
-        if sum(yv[j] == r for j in witnesses) > e:
+        if votes.count(r) > e:
             if r not in table and r and code.sequence.kind != QUANTIZED_BH:
-                found = knapsack_solve(code.sequence, code.d, eta[r], eta[r + 1])
+                found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])
                 # The exact call returns the same subset; the benchmark's
                 # tracer test pins two calls on a fresh code's first decode.
                 if found is not None:
@@ -117,6 +112,7 @@ def decode(y, code: SqgtCode) -> DecodedResult:
             )
         multipliers = tuple(sorted(subset))
         per_support.append((i, multipliers))
-        defectives.update(plan.block_of[a] * code.base_n + i for a in multipliers)
-    return DecodedResult(frozenset(defectives), tuple(per_support))
+        defectives.update([block_of[a] * base_n + i for a in multipliers])
+    warning = None if supports else "no defectives recovered or contract violated"
+    return DecodedResult(frozenset(defectives), tuple(per_support), warning)
 

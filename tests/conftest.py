@@ -122,14 +122,16 @@ def edit_json():
     return edit
 
 
-# The four tests that decode or recover supports over the hot code's 447,525
-# outcomes on the scalar path, about three quarters of a full run.
+# The five tests that decode or recover supports over the hot code's
+# outcomes (all 447,525, or 20,000 for the reference campaign) on the
+# scalar path, about two thirds of a full run.
 # `pytest -m "not slow"` leaves them out; a plain run keeps them.
 SLOW_TESTS = {
     "test_cold_and_warm_tables_decode_alike",
     "test_decoders_match_oracle_with_errors",
     "test_criterion_05_exhaustive_campaigns",
     "test_criterion_10_negative_controls",
+    "test_summaries_match_the_reference_campaign",
 }
 
 

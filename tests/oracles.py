@@ -2,7 +2,9 @@
 shares code with the routes it checks, except that the base scan tries
 its candidates with check_base, which is itself checked against the
 pairwise definitions, and the reference campaign decodes with decode,
-which is itself checked against oracle_decode."""
+which is itself checked against oracle_decode.  reference_decode shares
+no code with decode: it writes decode's contract out plainly, so the two
+are compared also on vectors outside the contract."""
 
 import math
 from itertools import combinations, product
@@ -10,6 +12,7 @@ from itertools import combinations, product
 import numpy as np
 
 from sqgt import (
+    DecodedResult,
     DecodingFailure,
     OutOfRange,
     TestOutcome,
@@ -79,6 +82,35 @@ def reference_supports(outcomes, code) -> list[list[int]]:
     violations = (code.base.matrix[None, :, :] > Y[:, :, None]).sum(axis=1)
     kept = (violations <= code.e).tolist()
     return [[i for i, ok in enumerate(row) if ok] for row in kept]
+
+
+def reference_decode(y, code) -> DecodedResult:
+    """decode's contract, written out plainly: for each base column the
+    reference support rule keeps, its 2e+1 nonzero rows of smallest value,
+    ordered by (value, index); the middle one's bin needs e+1 votes among
+    them and then names the one subset of at most d multipliers whose sum
+    lies in it, found by brute force.  No vote majority or no such subset
+    is a DecodingFailure; no support at all is a warning."""
+    yv = tuple(y.y if isinstance(y, TestOutcome) else y)
+    supports = reference_supports([yv], code)[0]
+    if not supports:
+        return DecodedResult(frozenset(), (), warning="no defectives recovered or contract violated")
+    e, th, values = code.e, code.thresholds, code.sequence.values
+    defectives, per_support = set(), []
+    for i in supports:
+        rows = np.flatnonzero(code.base.matrix[:, i]).tolist()
+        witnesses = sorted(rows, key=lambda k: (yv[k], k))[: 2 * e + 1]
+        r = yv[witnesses[e]]
+        in_bin = [s for s in _subsets_up_to(values, code.d)
+                  if th.eta[r] <= sum(s) < th.eta[r + 1]]
+        assert len(in_bin) <= 1, f"bin {r} holds {in_bin}"
+        if sum(yv[k] == r for k in witnesses) < e + 1 or not in_bin:
+            raise DecodingFailure(
+                f"support column {i}: no candidate sum reached {e + 1} witness votes")
+        multipliers = tuple(sorted(in_bin[0]))
+        per_support.append((i, multipliers))
+        defectives.update(values.index(a) * code.base.n + i for a in multipliers)
+    return DecodedResult(frozenset(defectives), tuple(per_support))
 
 
 def oracle_decode(y, code) -> frozenset[int]:

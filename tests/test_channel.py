@@ -157,6 +157,19 @@ def test_injectors_match_the_reference_above_q():
         assert _as_fields(got) == _as_fields(reference_inject_random(clean, 3, 4, seed, 30))
 
 
+@pytest.mark.parametrize("y", [(0, 0), (0, 3, 0), (2, 0, 5)])
+def test_inject_random_with_one_bin_makes_only_exhaustive_outcomes(y):
+    # with Q = 1 a 0 has no other value: it stays, as in inject_exhaustive,
+    # and only the values at or above Q change
+    clean = TestOutcome(y)
+    for e in range(len(y) + 1):
+        possible = set(_as_fields(inject_exhaustive(clean, e, 1)))
+        for seed in range(5):
+            got = _as_fields(inject_random(clean, e, 1, seed, 20))
+            assert len(got) == 20 and set(got) <= possible, (e, seed)
+    assert set(_as_fields(inject_random(TestOutcome((0, 0)), 1, 1, 0, 5))) == {((0, 0), ())}
+
+
 @pytest.mark.parametrize("value", [-1, 3.5])
 def test_injectors_check_an_input_that_is_not_an_outcome(value):
     # the check runs once per call, on the input; it still names the value

@@ -35,7 +35,7 @@ from sqgt import (
 from sqgt import decoders
 from sqgt.campaign import SEEDED_RANDOM
 
-from oracles import oracle_decode, reference_supports
+from oracles import oracle_decode, reference_decode, reference_supports
 from test_acceptance import _bench_code
 
 
@@ -89,6 +89,17 @@ def test_decode_checks_y_once(code_corpus, monkeypatch):
     monkeypatch.setattr(decoders, "as_ints", counting)
     assert decode(y, code).defectives == frozenset({0, 4})
     assert calls["as_ints"] == 1
+
+
+def test_row_bits_live_on_the_plan_not_in_the_module(code_corpus):
+    # each code's plan holds one bit per row, built with the plan; a
+    # module-level table of row bits cost about 1.1 MB of RSS in every
+    # process that imports sqgt
+    for name, code in code_corpus:
+        assert code.plan.row_bits == tuple(1 << k for k in range(code.m)), name
+    tables = [name for name, value in vars(decoders).items() if not name.startswith("__")
+              and isinstance(value, (tuple, list, dict, set, frozenset, np.ndarray))]
+    assert tables == []
 
 
 def test_select_witness_coords():
@@ -213,9 +224,9 @@ def test_decoders_match_oracle_with_errors(code_corpus):
                 assert got == reference_supports(outcomes, code), (name, D)
 
 
-def _decoded(y, code):
+def _decoded(y, code, decoder=decode):
     try:
-        return decode(y, code)
+        return decoder(y, code)
     except DecodingFailure as exc:
         return "DecodingFailure", str(exc)
 
@@ -261,6 +272,43 @@ def test_cold_and_warm_tables_decode_alike(code_corpus):
             assert table == full  # no warm decode missed the table
             in_contract = cold[: -samples]
             assert all(r.defectives == frozenset(D) for r in in_contract), (name, D)
+
+
+def test_decode_matches_the_reference_outside_the_contract(code_corpus):
+    """decode gives reference_decode's result, or its failure, on every
+    corpus code: at e + 1 seeded-random errors (about 200 outcomes a code)
+    and on 200 uniformly random vectors, with a cold bin table and a warm
+    one."""
+    rng = np.random.default_rng(28)
+    seen = Counter()
+    for name, code in code_corpus:
+        fresh = dataclasses.replace(code)
+        table = fresh.plan.subset_in_bin
+        cold_table = code.sequence.kind != QUANTIZED_BH  # else whole from the start
+        Q = code.thresholds.Q
+        sets = [D for size in range(1, code.d + 1) for D in combinations(range(code.n), size)]
+        samples = math.ceil(200 / len(sets))
+        vectors = []
+        for index, D in enumerate(sets):
+            vectors += inject_random(syndrome(code, D), code.e + 1, Q, (28, index), samples)
+        vectors += rng.integers(0, Q, size=(200, code.m)).tolist()
+        want = [_decoded(y, code, reference_decode) for y in vectors]
+        cold, full = [], dict(table)
+        for y in vectors:
+            if cold_table:
+                table.clear()
+            cold.append(_decoded(y, fresh))
+            full.update(table)
+        assert cold == want, name
+        table.update(full)
+        warm = [_decoded(y, fresh) for y in vectors]
+        assert warm == want, name
+        assert table == full, name  # every bin the warm pass met was known
+        seen.update(
+            r[0] if isinstance(r, tuple) else "warning" if r.warning else "decoded"
+            for r in want)
+    # the comparison covers results, warnings and vote failures alike
+    assert seen["decoded"] and seen["warning"] and seen["DecodingFailure"], seen
 
 
 def test_a_campaign_solves_each_bin_once(code_corpus, monkeypatch):
