@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -107,14 +108,17 @@ def simulate_campaign(
             math.comb(code.m, t) * (code.thresholds.Q - 1) ** t
             for t in range(min(e_inject, code.m) + 1)
         )
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        starts = range(0, len(sets), chunk_size)
+        # A fork pool starts all its processes at the first submit: start no
+        # more than there are chunks or CPUs.
+        with ProcessPoolExecutor(min(workers, len(starts), os.cpu_count() or 1)) as pool:
             futures = [
                 pool.submit(
                     _run_chunk, code, sets[i : i + chunk_size], e_inject, policy,
                     seed, samples_per_set,
                     None if budget is None else max(0, budget - i * per_set),
                 )
-                for i in range(0, len(sets), chunk_size)
+                for i in starts
             ]
             for fut in futures:
                 summary.merge(fut.result())

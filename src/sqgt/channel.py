@@ -92,7 +92,7 @@ def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutc
         outcome = TestOutcome(outcome.y)
     y = outcome.y
     yield outcome
-    for t in range(1, e + 1):
+    for t in range(1, min(e, len(y)) + 1):  # at most m coordinates can change
         for coords in combinations(range(len(y)), t):
             # the changes before the last coordinate, then each last value
             k = coords[-1]

@@ -16,6 +16,7 @@ from itertools import combinations, cycle
 import numpy as np
 
 from .channel import quantize_sums
+from .decoders import _build_plan
 from .disjunct import (
     BinaryDisjunctCode,
     identity_code,
@@ -33,7 +34,7 @@ from .errors import (
     ParameterError,
     SqgtError,
 )
-from .quantization import Thresholds, as_int, as_ints, load_thresholds, quantize, read_file
+from .quantization import Thresholds, as_int, as_ints, load_thresholds, read_file
 from .sequences import (
     QUANTIZED_BH,
     MultiplierSequence,
@@ -41,7 +42,6 @@ from .sequences import (
     _subsets_needed,
     check_sequence,
     greedy_generate,
-    subset_sums,
     verified_sequence,
 )
 
@@ -49,18 +49,6 @@ STRICT = "strict"
 PERMISSIVE = "permissive"
 
 MAX_SEPARABILITY_CELLS = 10**7  # result-vector coordinates one check holds, or compares
-
-
-@dataclass(frozen=True)
-class DecoderPlan:
-    """What every decode of one code needs, derived once from the code."""
-
-    coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
-    row_masks: tuple[int, ...]  # the same rows, bit k for row k
-    row_bits: tuple[int, ...]  # 1 << k for each row k
-    block_of: dict[int, int]  # multiplier value -> block index
-    # bin -> subset or None: whole for quantized-bh, filled by decode for SQLO
-    subset_in_bin: dict[int, frozenset[int] | None]
 
 
 @dataclass(frozen=True)
@@ -86,23 +74,7 @@ class SqgtCode:
     def base_n(self) -> int:
         return self.base.n
 
-    @cached_property
-    def plan(self) -> DecoderPlan:
-        """The decoders' per-code plan, built on first use."""
-        # h >= d puts every sum of at most d multipliers in its own bin.
-        table = (
-            subset_sums(self.sequence, self.d)
-            if self.sequence.kind == QUANTIZED_BH
-            else []
-        )
-        coords = tuple(tuple(np.flatnonzero(col).tolist()) for col in self.base.matrix.T)
-        return DecoderPlan(
-            coords=coords,
-            row_masks=tuple(sum(1 << k for k in rows) for rows in coords),
-            row_bits=tuple(1 << k for k in range(self.m)),
-            block_of={a: j for j, a in enumerate(self.sequence.values)},
-            subset_in_bin={quantize(self.thresholds, total): s for total, s in table},
-        )
+    plan = cached_property(_build_plan)  # the decoders' plan, built on first use
 
 
 def pair_sequence(th: Thresholds) -> MultiplierSequence:

@@ -1,17 +1,17 @@
-"""The zero-error decoder of all three code families.
+"""The zero-error decoder of all three code families, and its per-code plan.
 
 One decoder serves every kind.  A base column survives support recovery
 iff its nonzero coordinates are contradicted by the result vector in at
 most e places.  For each surviving column, the majority bin of its 2e+1
 witness coordinates holds the sum of its multipliers, and the kind's
 ordering puts at most one subset of at most d multipliers there.  The
-plan's bin-to-subset table holds it: whole from the start for quantized
-B_h codes, filled for the SQLO kinds on a bin's first sight by one knapsack
-call over the whole bin, O(K) whatever the bin width.  The per-code state,
-``SqgtCode.plan``, holds each base column's rows as a tuple and a bitmask,
-one bit per row, the block map and the table: y's zero mask is one C-level
-pass over the row bits, and each support one popcount.  ``decode`` checks
-y once; its stages check y, and i, only when called directly.
+plan, built here for ``SqgtCode.plan``, holds each base column's rows as a
+tuple and a bitmask, one bit per row, the block map and a bin-to-subset
+table: whole from the start for quantized B_h codes, filled for the SQLO
+kinds on a bin's first sight by one knapsack call over the whole bin, O(K)
+whatever the bin width.  y's zero mask is one C-level pass over the row
+bits, and each support one popcount.  ``decode`` checks y once; its stages
+check y, and i, only when called directly.
 """
 
 from __future__ import annotations
@@ -19,12 +19,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import not_
+from typing import TYPE_CHECKING
 
 from .channel import TestOutcome
-from .codebook import SqgtCode
 from .errors import DecodingFailure, InvalidBase, InvalidBin, InvalidInput
-from .quantization import as_int, as_ints
-from .sequences import QUANTIZED_BH, knapsack_solve
+from .quantization import as_int, as_ints, quantize
+from .sequences import QUANTIZED_BH, knapsack_solve, subset_sums
+
+if TYPE_CHECKING:
+    from .codebook import SqgtCode
+
+
+@dataclass(frozen=True)
+class DecoderPlan:
+    """What every decode of one code needs, derived once from the code."""
+
+    coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
+    row_masks: tuple[int, ...]  # the same rows, bit k for row k
+    row_bits: tuple[int, ...]  # 1 << k for each row k
+    block_of: dict[int, int]  # multiplier value -> block index
+    subset_in_bin: dict[int, frozenset[int] | None]  # bin -> its subset, or None
+
+
+def _build_plan(code: SqgtCode) -> DecoderPlan:
+    """The decoders' per-code plan, built on first use of ``SqgtCode.plan``."""
+    # h >= d puts every sum of at most d multipliers in its own bin.
+    table = subset_sums(code.sequence, code.d) if code.sequence.kind == QUANTIZED_BH else []
+    coords = tuple(tuple(col.nonzero()[0].tolist()) for col in code.base.matrix.T)
+    return DecoderPlan(
+        coords=coords,
+        row_masks=tuple(sum(1 << k for k in rows) for rows in coords),
+        row_bits=tuple(1 << k for k in range(code.m)),
+        block_of={a: j for j, a in enumerate(code.sequence.values)},
+        subset_in_bin={quantize(code.thresholds, total): s for total, s in table},
+    )
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .quantization import as_int
 
 MAX_SEARCH_CHECKS = 10**8  # column checks the exhaustive search may make
 MAX_RETRIES = 50  # random_code draws before giving up
+MAX_BASE_CELLS = 10**7  # cells of a base matrix a construction may make
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,12 @@ def _gram_certificate(matrix: np.ndarray, d: int, e: int) -> bool:
     w = int(gram.diagonal().min())
     np.fill_diagonal(gram, 0)
     return w - d * int(gram.max()) >= 2 * e + 1
+
+
+def _refuse_big(m: int, n: int) -> None:
+    """BudgetExceeded for an m x n base past MAX_BASE_CELLS, before any is made."""
+    if m * n > MAX_BASE_CELLS:
+        raise BudgetExceeded(f"a {m} x {n} base has more than {MAX_BASE_CELLS} cells")
 
 
 def verify_disjunct(matrix: np.ndarray, d: int, e: int) -> bool:
@@ -118,6 +125,7 @@ def kautz_singleton(
     e = (w - d * (k - 1) - 1) // 2
 
     n = q_field**k
+    _refuse_big(q_field * q_field, n)
     matrix = np.zeros((q_field * q_field, n), dtype=int)
     for col, coeffs in enumerate(product(range(q_field), repeat=k)):
         for x in range(q_field):
@@ -138,6 +146,7 @@ def random_code(
     a failed draw retries with an incremented seed."""
     m, n = as_int(m, "m", 1), as_int(n, "n", 2)
     d, e = as_int(d, "d", 1, n - 1), as_int(e, "e", 0)
+    _refuse_big(m, n)
     if density is None:
         density = 1.0 / (d + 1)
     for attempt in range(MAX_RETRIES):
@@ -167,5 +176,6 @@ def replicated_identity(n: int, copies: int) -> BinaryDisjunctCode:
     """Identity with each row repeated `copies` times: every column owns
     `copies` private rows, giving e = (copies - 1) // 2."""
     n, copies = as_int(n, "n", 2), as_int(copies, "copies", 1)
+    _refuse_big(n * copies, n)
     matrix = np.repeat(np.eye(n, dtype=int), copies, axis=0)
     return BinaryDisjunctCode(matrix, d=n - 1, e=(copies - 1) // 2)

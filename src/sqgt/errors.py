@@ -51,4 +51,4 @@ class DecodingFailure(SqgtError):
 
 
 class BudgetExceeded(SqgtError):
-    """An exhaustive verification would exceed its work budget."""
+    """An exhaustive verification, or a base matrix, would exceed its budget."""

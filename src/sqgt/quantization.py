@@ -112,11 +112,12 @@ def read_file(path: str, as_json: bool = False):
 def load_thresholds(spec: str) -> Thresholds:
     """Thresholds from a JSON list, or from the path of a file holding one."""
     if not spec.strip().startswith("["):
-        spec = read_file(spec)
-    try:
-        data = json.loads(spec)
-    except (ValueError, RecursionError) as exc:
-        raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
+        data = read_file(spec, as_json=True)
+    else:
+        try:
+            data = json.loads(spec)
+        except (ValueError, RecursionError) as exc:
+            raise InvalidInput(f"thresholds are not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InvalidInput("thresholds must be a JSON array of integers")
     return Thresholds(tuple(data))

@@ -390,15 +390,17 @@ def gamma_bound(h: int) -> float:
         # (x-1)^2; before the (x-1) multiplication the equation is x-1=0.
         return 1.0
 
-    def g(x: float) -> float:
-        return x ** (h + 1) - 2 * x**h + 1
+    def f(x: float) -> float:
+        # the polynomial over x^h, of its sign for x > 0: x^-h underflows to
+        # 0 where x^(h+1) overflows a float
+        return x - 2 + x**-h
 
-    lo = 2 * h / (h + 1)  # local minimum; g(lo) < 0 for h >= 2
-    hi = 2.0  # g(2) = 1 > 0
-    assert g(lo) < 0 < g(hi)
+    lo = 2 * h / (h + 1)  # local minimum; f(lo) < 0 for h >= 2
+    hi = 2.0  # f(2) = 2^-h > 0, or 0 once it underflows
+    assert f(lo) < 0 <= f(hi)
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
-        if g(mid) < 0:
+        if f(mid) < 0:
             lo = mid
         else:
             hi = mid

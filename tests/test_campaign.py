@@ -1,3 +1,7 @@
+import concurrent.futures
+import os
+from concurrent.futures import Future
+
 import pytest
 
 from sqgt import (
@@ -91,6 +95,37 @@ def test_workers_agree_with_serial(code_corpus):
     serial = simulate_campaign(code)
     parallel = simulate_campaign(code, workers=2)
     assert (serial.cases, serial.failures) == (parallel.cases, parallel.failures)
+
+
+def test_the_pool_starts_no_more_processes_than_chunks_or_cpus(monkeypatch):
+    # A fork pool starts max_workers processes at its first submit: --workers
+    # 500 on a 36-set campaign asked for 500.  The fake runs chunks inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    th = uniform_thresholds(3, 15)
+    code = build(identity_code(4), verified_sequence([3, 6], th, 2, QUANTIZED_BH), th, 2)
+    serial = simulate_campaign(code)
+    for cpus, workers, expected in ((64, 500, 36), (2, 500, 2), (None, 500, 1), (64, 3, 3)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pooled = simulate_campaign(code, workers=workers)
+        assert (pooled.cases, pooled.successes) == (serial.cases, serial.successes)
+        assert sizes.pop() == expected, (cpus, workers)
 
 
 def test_budget_is_exact_at_any_worker_count():

@@ -17,6 +17,7 @@ from sqgt import (
     syndrome,
     unit_thresholds,
 )
+from sqgt import channel
 from sqgt.channel import quantize_sums
 from sqgt.cli import main
 
@@ -106,6 +107,24 @@ def test_inject_exhaustive_two_errors():
     outcomes = list(inject_exhaustive(clean, 2, Q=3))
     # 1 + 3*2 + C(3,2)*2^2
     assert len(outcomes) == 1 + 6 + 12
+
+
+def test_inject_exhaustive_changes_at_most_m_coordinates(monkeypatch):
+    # e = 10**5 on 2 coordinates once ran its loop to e, each pass a
+    # combinations call that yields nothing: 1.3 s for 225 outcomes
+    real, sizes = channel.combinations, []
+
+    def counting(coords, t):
+        assert t <= len(coords), f"combinations of {t} of {len(coords)} coordinates"
+        sizes.append(t)
+        return real(coords, t)
+
+    monkeypatch.setattr(channel, "combinations", counting)
+    clean = TestOutcome((3, 0))
+    at_m = [(o.y, o.error_positions) for o in inject_exhaustive(clean, 2, Q=15)]
+    assert len(at_m) == 1 + 2 * 14 + 14 * 14 and sizes == [1, 2]
+    past_m = [(o.y, o.error_positions) for o in inject_exhaustive(clean, 10**5, Q=15)]
+    assert past_m == at_m and sizes == [1, 2, 1, 2]
 
 
 def test_inject_random_deterministic():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sqgt import CorruptCode, InvalidInput, code_from_config, load_code
+from sqgt import BudgetExceeded, CorruptCode, InvalidInput, code_from_config, load_code
 from sqgt.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -326,6 +326,27 @@ def test_malformed_base_spec_is_refused(capsys, tmp_path, spec):
     assert "base.spec" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["identity:10000000000", "replicated:10000000000,2", "ks:1000003,2", "random:3,10000000000"]
+)
+def test_a_huge_base_spec_is_refused(capsys, tmp_path, spec):
+    # numpy's ValueError or MemoryError was a traceback
+    message = "base has more than 10000000 cells"
+    with pytest.raises(BudgetExceeded, match=message):
+        code_from_config({"thresholds": TH_STEP3_TALL, "base": {"spec": spec, "d": 1},
+                          "sequence": {"kind": "quantized-bh", "h": 2, "values": [3, 6]}, "d": 1})
+    err = run_error(
+        capsys, "code", "build", "--thresholds", TH_STEP3_TALL, "--base", spec, "--base-d", "1",
+        "--values", "3 6", "--d", "1", "--out", str(tmp_path / "demo"),
+    )
+    assert message in err
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"thresholds": [0, 3, 6, 9], "base": {"spec": spec, "d": 1},
+                                "sequence": {"kind": "sqlo-s", "h": 1, "values": [3]}, "d": 1}))
+    with pytest.raises(CorruptCode, match=f"^{re.escape(str(path))}: .*{message}$"):
+        load_code(str(path))
+
+
 def test_missing_files_are_errors_not_tracebacks(capsys, tmp_path):
     missing = str(tmp_path / "missing.json")
     run_error(capsys, "decode", "--code", missing, "--y", "3 0")
@@ -343,6 +364,11 @@ def test_missing_files_are_errors_not_tracebacks(capsys, tmp_path):
     err = run_error(capsys, "seq", "gen", "--thresholds", str(latin), "--kind", "sqlo-s",
                     "--h", "2", "--K", "2")
     assert f"cannot read {str(latin)!r}: 'utf-8' codec can't decode" in err
+    # a thresholds file that is not JSON was refused without its name
+    latin.write_text("not json")
+    err = run_error(capsys, "seq", "gen", "--thresholds", str(latin), "--kind", "sqlo-s",
+                    "--h", "2", "--K", "2")
+    assert f"{str(latin)!r} is not valid JSON: Expecting value" in err
     # a --sequence file that cannot be read, and an --out that names a directory
     (tmp_path / "taken.json").mkdir()
     code_build = ["code", "build", "--thresholds", TH_STEP3_TALL, "--base", "identity:2",

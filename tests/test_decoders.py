@@ -1,8 +1,10 @@
+import ast
 import dataclasses
 import math
 import time
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,6 +102,32 @@ def test_row_bits_live_on_the_plan_not_in_the_module(code_corpus):
     tables = [name for name, value in vars(decoders).items() if not name.startswith("__")
               and isinstance(value, (tuple, list, dict, set, frozenset, np.ndarray))]
     assert tables == []
+
+
+def test_the_plan_lives_in_decoders():
+    # DecoderPlan and its builder sit beside decode's SQLO bin fill, so one
+    # file holds the table policy; codebook only hooks the builder onto
+    # SqgtCode.plan, and decoders names SqgtCode in annotations alone.
+    trees = {name: ast.parse(Path(decoders.__file__).with_name(f"{name}.py").read_text())
+             for name in ("codebook", "decoders")}
+    defining = [name for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "DecoderPlan"]
+    assert defining == ["decoders"]
+
+    def runtime_imports(tree):
+        guarded = {id(node) for block in ast.walk(tree) if isinstance(block, ast.If)
+                   and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for statement in block.body for node in ast.walk(statement)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and id(node) not in guarded:
+                yield f"{node.module}"
+                yield from (f"{node.module}.{alias.name}" for alias in node.names)
+            elif isinstance(node, ast.Import) and id(node) not in guarded:
+                yield from (alias.name for alias in node.names)
+
+    assert not [name for name in runtime_imports(trees["decoders"]) if "codebook" in name]
+    assert not {"sequences.subset_sums", "quantization.quantize"} & set(
+        runtime_imports(trees["codebook"]))
 
 
 def test_select_witness_coords():

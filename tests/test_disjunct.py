@@ -84,6 +84,30 @@ def test_kautz_singleton_parameter_errors():
         kautz_singleton(5, 2, d=5)  # beyond d_max = 4
 
 
+HUGE_BASES = {  # numpy refused each with an untyped ValueError or MemoryError
+    "identity": lambda: identity_code(10**10),
+    "replicated": lambda: replicated_identity(10**10, 2),
+    "ks": lambda: kautz_singleton(1000003, 2),
+    "random": lambda: random_code(3, 10**10, 1),
+}
+
+
+@pytest.mark.parametrize("make", HUGE_BASES.values(), ids=HUGE_BASES)
+def test_a_huge_base_is_refused_before_it_is_made(make):
+    with pytest.raises(BudgetExceeded, match=f"base has more than {disjunct.MAX_BASE_CELLS} cells$"):
+        make()
+
+
+def test_the_base_limit_counts_cells(monkeypatch):
+    monkeypatch.setattr(disjunct, "MAX_BASE_CELLS", 18)
+    assert identity_code(4).matrix.size == 16
+    assert replicated_identity(3, 2).matrix.size == 18
+    for make in (lambda: identity_code(5), lambda: replicated_identity(4, 2),
+                 lambda: kautz_singleton(3, 2), lambda: random_code(5, 4, 1)):
+        with pytest.raises(BudgetExceeded, match="cells$"):
+            make()
+
+
 def test_replicated_identity():
     code = replicated_identity(4, 3)
     assert (code.m, code.n) == (12, 4)

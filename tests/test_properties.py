@@ -58,6 +58,8 @@ def untyped_escapes(code_corpus, tmp_path, mutations, seed):
             "identity:x", "ks:3", "nope:1", "random:4,-1", {"spec": "ks:3,2,1"},
             nul, latin, "file:" + nul, "file:" + latin,
             {"spec": "file:" + nul, "d": 1, "e": 0}, {"spec": "file:" + latin, "d": 1, "e": 0}]
+    huge = ["identity:10000000000", "replicated:10000000000,2", "ks:1000003,2", "random:3,10000000000"]
+    pool += huge + [{"spec": spec, "d": 1} for spec in huge]  # bases numpy refuses to make
     rng, path, escapes = random.Random(seed), str(tmp_path / "mutated.json"), []
     for i in range(mutations):
         description = copy.deepcopy(rng.choice(saved))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -70,7 +71,7 @@ def test_json_round_trip(th_gaps, tmp_path):
     path.write_text(json.dumps(list(th_gaps.eta)))
     assert load_thresholds(str(path)) == th_gaps
     path.write_text("not json")
-    with pytest.raises(InvalidInput, match="^thresholds are not valid JSON: "):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(repr(str(path)))} is not valid JSON: "):
         load_thresholds(str(path))
     # nested past the parser's depth: a RecursionError escaped
     with pytest.raises(InvalidInput, match="^thresholds are not valid JSON: maximum recursion"):

@@ -559,6 +559,15 @@ def test_gamma_bound_root_and_interval():
         assert abs(g ** (h + 1) - 2 * g**h + 1) < 1e-6 * g**h
 
 
+def test_gamma_bound_past_float_range():
+    # x^(h+1) overflowed a float from h = 1100 on: an untyped OverflowError
+    for h in (1100, 2000, 10**6):
+        g = gamma_bound(h)
+        assert 2 * h / (h + 1) < g < 2
+        assert abs(g - 2 + g**-h) < 1e-9
+    assert gamma_bound(2000) == pytest.approx(2, abs=1e-11)
+
+
 def test_recursive_base_growth_bounded_by_gamma():
     for h in (2, 3, 5):
         g = gamma_bound(h)
