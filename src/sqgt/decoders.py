@@ -6,12 +6,12 @@ most e places.  For each surviving column, the majority bin of its 2e+1
 witness coordinates holds the sum of its multipliers, and the kind's
 ordering puts at most one subset of at most d multipliers there.  The
 plan, built here for ``SqgtCode.plan``, holds each base column's rows as a
-tuple and a bitmask, one bit per row, the block map and a bin-to-subset
-table: whole from the start for quantized B_h codes, filled for the SQLO
-kinds on a bin's first sight by one knapsack call over the whole bin, O(K)
-whatever the bin width.  y's zero mask is one C-level pass over the row
-bits, and each support one popcount.  ``decode`` checks y once; its stages
-check y, and i, only when called directly.
+tuple and a bitmask, one bit per row, m, Q - 1, and a table from each bin
+to its decoded answer (sorted multipliers, column offsets) or None: whole
+from the start for quantized B_h codes, filled for SQLO on a bin's first
+sight by one O(K) knapsack call over the whole bin.  y's zero mask is one
+C-level pass over the row bits, each support one popcount.  ``decode``
+checks y once; its stages check y, and i, only when called directly.
 """
 
 from __future__ import annotations
@@ -37,8 +37,10 @@ class DecoderPlan:
     coords: tuple[tuple[int, ...], ...]  # nonzero rows of each base column
     row_masks: tuple[int, ...]  # the same rows, bit k for row k
     row_bits: tuple[int, ...]  # 1 << k for each row k
+    m: int  # the length of y
+    top_bin: int  # Q - 1, the largest value of y
     block_of: dict[int, int]  # multiplier value -> block index
-    subset_in_bin: dict[int, frozenset[int] | None]  # bin -> its subset, or None
+    subset_in_bin: dict[int, tuple | None]  # bin -> _entry of its subset, or None
 
 
 def _build_plan(code: SqgtCode) -> DecoderPlan:
@@ -46,13 +48,23 @@ def _build_plan(code: SqgtCode) -> DecoderPlan:
     # h >= d puts every sum of at most d multipliers in its own bin.
     table = subset_sums(code.sequence, code.d) if code.sequence.kind == QUANTIZED_BH else []
     coords = tuple(tuple(col.nonzero()[0].tolist()) for col in code.base.matrix.T)
+    block_of = {a: j for j, a in enumerate(code.sequence.values)}
     return DecoderPlan(
         coords=coords,
         row_masks=tuple(sum(1 << k for k in rows) for rows in coords),
         row_bits=tuple(1 << k for k in range(code.m)),
-        block_of={a: j for j, a in enumerate(code.sequence.values)},
-        subset_in_bin={quantize(code.thresholds, total): s for total, s in table},
+        m=code.m,
+        top_bin=code.thresholds.Q - 1,
+        block_of=block_of,
+        subset_in_bin={quantize(code.thresholds, total): _entry(s, block_of, code.base_n)
+                       for total, s in table},
     )
+
+
+def _entry(subset, block_of, base_n):
+    """A subset's table entry: its multipliers, sorted, and their blocks' column offsets."""
+    multipliers = tuple(sorted(subset))
+    return multipliers, tuple(block_of[a] * base_n for a in multipliers)
 
 
 @dataclass(frozen=True)
@@ -67,15 +79,16 @@ def recover_support(y, code: SqgtCode) -> list[int]:
     A binary entry exceeds y only where y is 0, so a column's count is the
     number of y's zero rows in its row mask."""
     plan, e = code.plan, code.e
-    zeros = sum(compress(plan.row_bits, map(not_, _result_values(y, code))))
+    yv = y if type(y) is _Checked and y.code is code else _result_values(y, code)
+    zeros = sum(compress(plan.row_bits, map(not_, yv)))
     return [i for i, rows in enumerate(plan.row_masks) if (zeros & rows).bit_count() <= e]
 
 
 def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
     """The 2e+1 coordinates of base column i with the smallest result values,
     in ascending order of value, ties broken by ascending coordinate index."""
-    yv = _result_values(y, code)
-    if yv is not y:  # called directly, not by decode with a support column
+    if type(y) is not _Checked or y.code is not code:  # called directly, not by decode
+        y = _result_values(y, code)
         i = as_int(i, "i", 0, code.base_n - 1)
     need = 2 * code.e + 1
     coords = code.plan.coords[i]
@@ -84,7 +97,7 @@ def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
             f"base column {i} has {len(coords)} rows, too few for {need} witness coordinates"
         )
     # a stable sort of the ascending coordinates breaks ties by index
-    return sorted(coords, key=yv.__getitem__)[:need]
+    return sorted(coords, key=y.__getitem__)[:need]
 
 
 class _Checked(tuple):
@@ -93,17 +106,15 @@ class _Checked(tuple):
 
 def _result_values(y, code: SqgtCode) -> _Checked:
     """y as a tuple of m bin indices, each in [0, Q).  A TestOutcome's values
-    passed the integer rule when it was made; values this function returned
-    for the same code pass unchecked."""
-    if type(y) is _Checked and y.code is code:
-        return y
+    passed the integer rule when it was made."""
+    plan = code.plan
     yv = y.y if isinstance(y, TestOutcome) else as_ints(y, "result value", InvalidBin)
-    if len(yv) != code.m:
-        raise InvalidInput(f"result length {len(yv)} != code row count {code.m}")
+    if len(yv) != plan.m:
+        raise InvalidInput(f"result length {len(yv)} != code row count {plan.m}")
     # The values are ints by now, and a second type scan costs about 5 % of a
     # decode: min and max bound them, and as_ints only names the culprit.
-    if yv and (min(yv) < 0 or max(yv) >= code.thresholds.Q):
-        as_ints(yv, "result value", InvalidBin, 0, code.thresholds.Q - 1)
+    if yv and (min(yv) < 0 or max(yv) > plan.top_bin):
+        as_ints(yv, "result value", InvalidBin, 0, plan.top_bin)
     yv = _Checked(yv)
     yv.code = code
     return yv
@@ -114,8 +125,8 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     majority bin of its 2e+1 witness coordinates."""
     yv = _result_values(y, code)
     supports = recover_support(yv, code)
-    table, block_of, base_n, e = code.plan.subset_in_bin, code.plan.block_of, code.base.n, code.e
-    defectives: set[int] = set()
+    plan, table, e = code.plan, code.plan.subset_in_bin, code.e
+    defectives: list[int] = []
     per_support = []
     for i in supports:
         # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
@@ -124,23 +135,24 @@ def decode(y, code: SqgtCode) -> DecodedResult:
         # holds none, as every element is at least eta_1).
         votes = [yv[j] for j in select_witness_coords(yv, code, i)]
         r = votes[e]
-        subset = None
+        entry = None
         if votes.count(r) > e:
-            if r not in table and r and code.sequence.kind != QUANTIZED_BH:
+            entry = table.get(r)
+            if entry is None and r and r not in table and code.sequence.kind != QUANTIZED_BH:
                 found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])
                 # The exact call returns the same subset; the benchmark's
                 # tracer test pins two calls on a fresh code's first decode.
                 if found is not None:
                     found = knapsack_solve(code.sequence, code.d, sum(found))
-                table[r] = found
-            subset = table.get(r)
-        if subset is None:
+                entry = table[r] = found and _entry(found, plan.block_of, code.base_n)
+        if entry is None:
             raise DecodingFailure(
                 f"support column {i}: no candidate sum reached {e + 1} witness votes"
             )
-        multipliers = tuple(sorted(subset))
-        per_support.append((i, multipliers))
-        defectives.update([block_of[a] * base_n + i for a in multipliers])
+        per_support.append((i, entry[0]))  # the multipliers, then their column offsets
+        defectives += [offset + i for offset in entry[1]]
     warning = None if supports else "no defectives recovered or contract violated"
-    return DecodedResult(frozenset(defectives), tuple(per_support), warning)
-
+    result = object.__new__(DecodedResult)  # as channel._injected: no frozen __init__
+    vars(result).update(defectives=frozenset(defectives), per_support=tuple(per_support),
+                        warning=warning)
+    return result

@@ -39,10 +39,12 @@ class BinaryDisjunctCode:
 
 
 def _gram_certificate(matrix: np.ndarray, d: int, e: int) -> bool:
-    """The Kautz-Singleton bound, a sufficient condition: with the smallest
-    column weight w and the largest overlap lambda of two columns, any d
-    other columns cover at most d*lambda rows of a column, so w - d*lambda
-    >= 2e+1 leaves every column enough private rows."""
+    """The Kautz-Singleton bound, a sufficient condition: with the smallest column
+    weight w and the largest overlap lambda of two columns, any d other columns
+    cover at most d*lambda rows of a column, so w - d*lambda >= 2e+1 leaves every
+    column enough private rows.  False, unsettled, when n*n passes MAX_BASE_CELLS."""
+    if matrix.shape[1] ** 2 > MAX_BASE_CELLS:
+        return False
     gram = matrix.T.astype(int) @ matrix
     w = int(gram.diagonal().min())
     np.fill_diagonal(gram, 0)
@@ -116,6 +118,7 @@ def kautz_singleton(
     scope for the desk-scale instances this package targets.
     """
     q_field = as_int(q_field, "q_field", 2)
+    _refuse_big(q_field * q_field, q_field * q_field)  # every k >= 2 gives q^2+ columns
     if not _is_prime(q_field):
         raise InvalidInput(f"q_field={q_field} is not a prime (prime fields only)")
     k = as_int(k, "k", 2, q_field)

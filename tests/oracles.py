@@ -84,6 +84,16 @@ def reference_supports(outcomes, code) -> list[list[int]]:
     return [[i for i, ok in enumerate(row) if ok] for row in kept]
 
 
+def reference_bin_subset(code, r):
+    """The one subset of at most d multipliers whose sum lies in bin r,
+    sorted and found by brute force; None if no such subset."""
+    th = code.thresholds
+    in_bin = [s for s in _subsets_up_to(code.sequence.values, code.d)
+              if th.eta[r] <= sum(s) < th.eta[r + 1]]
+    assert len(in_bin) <= 1, f"bin {r} holds {in_bin}"
+    return tuple(sorted(in_bin[0])) if in_bin else None
+
+
 def reference_decode(y, code) -> DecodedResult:
     """decode's contract, written out plainly: for each base column the
     reference support rule keeps, its 2e+1 nonzero rows of smallest value,
@@ -95,19 +105,16 @@ def reference_decode(y, code) -> DecodedResult:
     supports = reference_supports([yv], code)[0]
     if not supports:
         return DecodedResult(frozenset(), (), warning="no defectives recovered or contract violated")
-    e, th, values = code.e, code.thresholds, code.sequence.values
+    e, values = code.e, code.sequence.values
     defectives, per_support = set(), []
     for i in supports:
         rows = np.flatnonzero(code.base.matrix[:, i]).tolist()
         witnesses = sorted(rows, key=lambda k: (yv[k], k))[: 2 * e + 1]
         r = yv[witnesses[e]]
-        in_bin = [s for s in _subsets_up_to(values, code.d)
-                  if th.eta[r] <= sum(s) < th.eta[r + 1]]
-        assert len(in_bin) <= 1, f"bin {r} holds {in_bin}"
-        if sum(yv[k] == r for k in witnesses) < e + 1 or not in_bin:
+        multipliers = reference_bin_subset(code, r)
+        if sum(yv[k] == r for k in witnesses) < e + 1 or multipliers is None:
             raise DecodingFailure(
                 f"support column {i}: no candidate sum reached {e + 1} witness votes")
-        multipliers = tuple(sorted(in_bin[0]))
         per_support.append((i, multipliers))
         defectives.update(values.index(a) * code.base.n + i for a in multipliers)
     return DecodedResult(frozenset(defectives), tuple(per_support))

@@ -18,6 +18,7 @@ from sqgt import (
     InvalidBase,
     InvalidBin,
     InvalidInput,
+    SqgtError,
     base_recursive_superincreasing,
     build,
     decode,
@@ -37,7 +38,7 @@ from sqgt import (
 from sqgt import decoders
 from sqgt.campaign import SEEDED_RANDOM
 
-from oracles import oracle_decode, reference_decode, reference_supports
+from oracles import oracle_decode, reference_bin_subset, reference_decode, reference_supports
 from test_acceptance import _bench_code
 
 
@@ -79,18 +80,39 @@ def test_stages_called_directly_check_y(code_corpus):
 
 
 def test_decode_checks_y_once(code_corpus, monkeypatch):
+    # one _result_values call a decode, whatever the supports; its stages
+    # take the checked values without a second call
     code = _entry(code_corpus, "sqs-ks3-d2")
-    y = list(syndrome(code, [0, 4]).y)  # two supports
+    outcome = syndrome(code, [0, 4])  # two supports
     calls = Counter()
-    real = decoders.as_ints
+    for name in ("as_ints", "_result_values"):
+        def counting(*args, name=name, real=getattr(decoders, name)):
+            calls[name] += 1
+            return real(*args)
 
-    def counting(*args):
-        calls["as_ints"] += 1
-        return real(*args)
+        monkeypatch.setattr(decoders, name, counting)
+    # a TestOutcome's values passed the integer rule when it was made
+    for y, scans in ((list(outcome.y), 1), (outcome.y, 1), (outcome, 0)):
+        calls.clear()
+        assert decode(y, code).defectives == frozenset({0, 4})
+        assert (calls["as_ints"], calls["_result_values"]) == (scans, 1), type(y)
 
-    monkeypatch.setattr(decoders, "as_ints", counting)
-    assert decode(y, code).defectives == frozenset({0, 4})
-    assert calls["as_ints"] == 1
+
+@pytest.mark.parametrize("y, error, message", [
+    ((-1, 0), InvalidBin, "result value must be >= 0, got -1"),
+    ((15, 0), InvalidBin, "result value must be <= 14, got 15"),
+    ((3.5, 0), InvalidBin, "result value 3.5 is not an integer"),
+    ((True, 0), InvalidBin, "result value True is not an integer"),
+    ((0, 0, 0), InvalidInput, "result length 3 != code row count 2"),
+    ("30", InvalidBin, "result value '3' is not an integer"),
+], ids=["negative", "Q", "float", "bool", "length", "string"])
+def test_each_stage_names_a_bad_y_alike(code_corpus, y, error, message):
+    code = _entry(code_corpus, "sqs-i2-d2")
+    assert (code.m, code.thresholds.Q) == (2, 15)
+    for stage in (decode, recover_support, lambda y, c: select_witness_coords(y, c, 0)):
+        with pytest.raises(SqgtError) as raised:
+            stage(y, code)
+        assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 def test_row_bits_live_on_the_plan_not_in_the_module(code_corpus):
@@ -337,6 +359,33 @@ def test_decode_matches_the_reference_outside_the_contract(code_corpus):
             for r in want)
     # the comparison covers results, warnings and vote failures alike
     assert seen["decoded"] and seen["warning"] and seen["DecodingFailure"], seen
+
+
+def test_the_bin_table_is_the_only_decode_cache(code_corpus, monkeypatch):
+    # a cleared table makes the next decode cold again: nothing beside it
+    # keeps a solved bin
+    calls = _counting_solver(monkeypatch)
+    code = dataclasses.replace(_entry(code_corpus, "sqs-ks3-d2"))
+    y = syndrome(code, [0, 4])
+    decode(y, code)
+    solved = sum(calls.values())
+    decode(y, code)
+    assert solved > 0 and sum(calls.values()) == solved
+    code.plan.subset_in_bin.clear()
+    decode(y, code)
+    assert sum(calls.values()) == 2 * solved
+    # each entry holds its bin's sorted multipliers and their column offsets
+    for name, code in code_corpus:
+        for D in list(combinations(range(code.n), code.d))[:20]:
+            for y in inject_exhaustive(syndrome(code, D), code.e, code.thresholds.Q):
+                got = _decoded(y, code)
+                want = _decoded(y, code, reference_decode)
+                assert got == want and hash(got) == hash(want), (name, y)
+        values, base_n = code.sequence.values, code.base_n
+        for r, entry in code.plan.subset_in_bin.items():
+            subset = reference_bin_subset(code, r)
+            want = subset and (subset, tuple(values.index(a) * base_n for a in subset))
+            assert entry == want, (name, r)
 
 
 def test_a_campaign_solves_each_bin_once(code_corpus, monkeypatch):

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,6 +101,51 @@ HUGE_BASES = {  # numpy refused each with an untyped ValueError or MemoryError
 def test_a_huge_base_is_refused_before_it_is_made(make):
     with pytest.raises(BudgetExceeded, match=f"base has more than {disjunct.MAX_BASE_CELLS} cells$"):
         make()
+
+
+def test_a_huge_field_is_refused_before_its_primality_test(monkeypatch):
+    # trial division of 10**18 + 3 ran past 10 s; any field above 56 makes
+    # at least q^2 x q^2 cells, past the limit whatever k is
+    tested = []
+
+    def counting(p):
+        tested.append(p)
+        assert p <= 56, f"primality of {p} tested before the size limit"
+        return is_prime(p)
+
+    is_prime = disjunct._is_prime
+    monkeypatch.setattr(disjunct, "_is_prime", counting)
+    start = time.process_time()
+    for q_field, k in ((10**18 + 3, 2), (10**18 + 3, 10**18), (10**18, 2), (57, 2)):
+        with pytest.raises(BudgetExceeded, match="cells$"):
+            kautz_singleton(q_field, k)
+    assert tested == [] and time.process_time() - start < 0.5
+    with pytest.raises(InvalidInput, match="not a prime"):
+        kautz_singleton(56, 2)
+    assert tested == [56]
+
+
+def test_a_wide_base_is_verified_without_an_n_by_n_gram_matrix():
+    # Under a 2 GiB address-space limit the Gram matrix of a 2 x 20000 base
+    # (3.2 GB) or of random_code(20, 100000, 1) (74.5 GiB) is a MemoryError;
+    # the search refuses both bases on its budget before it starts.
+    script = """if True:
+        import resource
+        import numpy as np
+        from sqgt import random_code, verify_disjunct
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+        for make in (lambda: verify_disjunct(np.tile(np.eye(2, dtype=int), 10000), 1, 0),
+                     lambda: random_code(20, 100000, 1)):
+            try:
+                make()
+            except Exception as exc:
+                print(type(exc).__name__)
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env=env, check=True)
+    assert out.stdout.split() == ["BudgetExceeded", "BudgetExceeded"], out.stdout
 
 
 def test_the_base_limit_counts_cells(monkeypatch):
