@@ -39,16 +39,16 @@ class BinaryDisjunctCode:
 
 
 def _gram_certificate(matrix: np.ndarray, d: int, e: int) -> bool:
-    """The Kautz-Singleton bound, a sufficient condition: with the smallest column
-    weight w and the largest overlap lambda of two columns, any d other columns
-    cover at most d*lambda rows of a column, so w - d*lambda >= 2e+1 leaves every
-    column enough private rows.  False, unsettled, when n*n passes MAX_BASE_CELLS."""
-    if matrix.shape[1] ** 2 > MAX_BASE_CELLS:
-        return False
-    gram = matrix.T.astype(int) @ matrix
-    w = int(gram.diagonal().min())
-    np.fill_diagonal(gram, 0)
-    return w - d * int(gram.max()) >= 2 * e + 1
+    """The Kautz-Singleton bound: d other columns cover at most d*lambda rows of a column of
+    weight >= w (lambda the largest overlap of two), so w - d*lambda >= 2e+1 is sufficient."""
+    cols, w = matrix.T.astype(float), int(matrix.sum(axis=0).min())
+    block = max(1, MAX_BASE_CELLS // len(cols))  # overlap rows per block, not an n x n matrix
+    for i in range(0, len(cols), block):
+        overlap = cols[i : i + block] @ cols.T  # exact: integer sums of at most m ones
+        np.fill_diagonal(overlap[:, i:], 0)
+        if w - d * int(overlap.max()) < 2 * e + 1:
+            return False
+    return True
 
 
 def _refuse_big(m: int, n: int) -> None:

@@ -485,6 +485,16 @@ def test_save_load_round_trip(code_corpus, tmp_path):
     )
 
 
+
+def test_a_wide_certified_base_survives_a_round_trip(tmp_path):
+    # ks:17,3 is 289 x 4913: the search would need 4913 * C(4912, 8) checks, so
+    # reloading its inline matrix rests on the Gram certificate, 17 - 8 * 2 >= 1
+    th = uniform_thresholds(3, 15)
+    code = build(kautz_singleton(17, 3), verified_sequence([3, 6], th, 2, QUANTIZED_BH), th, 2)
+    loaded = load_code(save_code(code, str(tmp_path / "code")))
+    assert (loaded.base.matrix == code.base.matrix).all()
+    assert (loaded.base.d, loaded.base.e) == (code.base.d, code.base.e) == (8, 0)
+
 def _saved_identity_code(tmp_path, values):
     th = uniform_thresholds(3, 15)
     seq = verified_sequence(values, th, 2, QUANTIZED_BH)

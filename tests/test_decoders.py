@@ -354,6 +354,13 @@ def test_decode_matches_the_reference_outside_the_contract(code_corpus):
         warm = [_decoded(y, fresh) for y in vectors]
         assert warm == want, name
         assert table == full, name  # every bin the warm pass met was known
+        assert list(map(hash, warm)) == list(map(hash, want)), name
+        # each entry holds its bin's sorted multipliers and their column offsets
+        values, base_n = code.sequence.values, code.base_n
+        for r, entry in table.items():
+            subset = reference_bin_subset(code, r)
+            offsets = subset and tuple(values.index(a) * base_n for a in subset)
+            assert entry == (subset and (subset, offsets)), (name, r)
         seen.update(
             r[0] if isinstance(r, tuple) else "warning" if r.warning else "decoded"
             for r in want)
@@ -374,18 +381,6 @@ def test_the_bin_table_is_the_only_decode_cache(code_corpus, monkeypatch):
     code.plan.subset_in_bin.clear()
     decode(y, code)
     assert sum(calls.values()) == 2 * solved
-    # each entry holds its bin's sorted multipliers and their column offsets
-    for name, code in code_corpus:
-        for D in list(combinations(range(code.n), code.d))[:20]:
-            for y in inject_exhaustive(syndrome(code, D), code.e, code.thresholds.Q):
-                got = _decoded(y, code)
-                want = _decoded(y, code, reference_decode)
-                assert got == want and hash(got) == hash(want), (name, y)
-        values, base_n = code.sequence.values, code.base_n
-        for r, entry in code.plan.subset_in_bin.items():
-            subset = reference_bin_subset(code, r)
-            want = subset and (subset, tuple(values.index(a) * base_n for a in subset))
-            assert entry == want, (name, r)
 
 
 def test_a_campaign_solves_each_bin_once(code_corpus, monkeypatch):

@@ -125,19 +125,25 @@ def test_a_huge_field_is_refused_before_its_primality_test(monkeypatch):
     assert tested == [56]
 
 
-def test_a_wide_base_is_verified_without_an_n_by_n_gram_matrix():
-    # Under a 2 GiB address-space limit the Gram matrix of a 2 x 20000 base
-    # (3.2 GB) or of random_code(20, 100000, 1) (74.5 GiB) is a MemoryError;
-    # the search refuses both bases on its budget before it starts.
+def test_a_wide_base_raises_budget_exceeded_not_memory_error():
+    # Under a 2 GiB address-space limit a whole Gram matrix of a 2 x 20000 base
+    # (3.2 GB) or of random_code(20, 100000, 1) (74.5 GiB) is a MemoryError; the
+    # certificate takes overlaps a block of columns at a time, fails both, and the
+    # search refuses them on its budget.  The 2-of-81 base (81 x 3240, every pair
+    # of rows) is past what the search can afford, and the certificate proves it.
     script = """if True:
         import resource
+        from itertools import combinations
         import numpy as np
         from sqgt import random_code, verify_disjunct
         resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+        pairs = np.zeros((81, 3240), dtype=int)
+        for col, rows in enumerate(combinations(range(81), 2)):
+            pairs[rows, col] = 1
         for make in (lambda: verify_disjunct(np.tile(np.eye(2, dtype=int), 10000), 1, 0),
-                     lambda: random_code(20, 100000, 1)):
+                     lambda: random_code(20, 100000, 1), lambda: verify_disjunct(pairs, 1, 0)):
             try:
-                make()
+                print(make())
             except Exception as exc:
                 print(type(exc).__name__)
     """
@@ -145,7 +151,21 @@ def test_a_wide_base_is_verified_without_an_n_by_n_gram_matrix():
                PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=120, env=env, check=True)
-    assert out.stdout.split() == ["BudgetExceeded", "BudgetExceeded"], out.stdout
+    assert out.stdout.split() == ["BudgetExceeded", "BudgetExceeded", "True"], out.stdout
+
+
+@pytest.mark.parametrize("cells", [1, 7, 30, 10**7])
+def test_the_blocked_certificate_is_the_whole_gram_bound(monkeypatch, cells):
+    # whatever the block size, the bound is the one an n x n Gram matrix gives
+    monkeypatch.setattr(disjunct, "MAX_BASE_CELLS", cells)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m, n = rng.integers(2, 9, size=2)
+        matrix = (rng.random((m, n)) < rng.random()).astype(int)
+        gram = matrix.T @ matrix
+        w, lam = gram.diagonal().min(), (gram - np.diag(gram.diagonal())).max()
+        for d, e in ((1, 0), (2, 0), (1, 1), (3, 1)):
+            assert _gram_certificate(matrix, d, e) == (w - d * lam >= 2 * e + 1), matrix
 
 
 def test_the_base_limit_counts_cells(monkeypatch):
