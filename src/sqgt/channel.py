@@ -17,8 +17,9 @@ class TestOutcome:
     """A Q-ary result vector, optionally carrying injected-error metadata.
     Both pass the integer rule when the outcome is made, which bounds each
     value below by 0 and each error position to index y; the positions must
-    strictly increase.  The injectors check their input once and make each
-    outcome they yield without the check: it is valid by construction."""
+    strictly increase.  The injectors check their input once, each value
+    below their Q too, and make each outcome they yield without the check:
+    it is valid by construction."""
 
     y: tuple[int, ...]
     error_positions: tuple[int, ...] = ()
@@ -75,8 +76,8 @@ def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q:
 
 
 def _injected(y: tuple[int, ...], positions: tuple[int, ...]) -> TestOutcome:
-    """A TestOutcome made unchecked: each value lies in range(Q) or comes from
-    a checked outcome, and the positions come from combinations(range(m), t)."""
+    """A TestOutcome made unchecked: each value lies in range(Q), and the
+    positions come from combinations(range(m), t)."""
     outcome = object.__new__(TestOutcome)
     vars(outcome).update(y=y, error_positions=positions)
     return outcome
@@ -85,12 +86,13 @@ def _injected(y: tuple[int, ...], positions: tuple[int, ...]) -> TestOutcome:
 def inject_exhaustive(outcome: TestOutcome, e: int, Q: int) -> Iterator[TestOutcome]:
     """Stream every outcome differing from the input in <= e coordinates,
     each changed entry taking any other value in [Q].  The clean outcome
-    is emitted first (the zero-change pattern).  The input is checked once;
-    the outcomes are valid by construction, so they are not checked."""
+    is emitted first (the zero-change pattern).  The input is checked once,
+    each value in [Q]; the outcomes are valid by construction, so they are
+    not checked."""
     e, Q = as_int(e, "e", 0), as_int(Q, "Q", 1)
     if not isinstance(outcome, TestOutcome):
         outcome = TestOutcome(outcome.y)
-    y = outcome.y
+    y = as_ints(outcome.y, "result value", InvalidBin, 0, Q - 1)
     yield outcome
     for t in range(1, min(e, len(y)) + 1):  # at most m coordinates can change
         for coords in combinations(range(len(y)), t):
@@ -117,16 +119,16 @@ def inject_random(
     seed = as_ints(seed, "seed", least=0) if isinstance(seed, tuple) else as_int(seed, "seed", 0)
     if not isinstance(outcome, TestOutcome):
         outcome = TestOutcome(outcome.y)
-    y, rng = outcome.y, np.random.default_rng(seed)
-    m = len(y)
+    y = as_ints(outcome.y, "result value", InvalidBin, 0, Q - 1)
+    rng, m = np.random.default_rng(seed), len(y)
     for _ in range(count):
         t = int(rng.integers(0, min(e, m) + 1))
         coords = tuple(sorted(rng.choice(m, size=t, replace=False).tolist())) if t else ()
-        if Q == 1:  # a 0 has no other value: as in inject_exhaustive, it stays
-            coords = tuple(k for k in coords if y[k])
+        if Q == 1:  # y is all 0, and a 0 has no other value: as in inject_exhaustive
+            coords = ()
         z = list(y)
         for k in coords:
             # an index into the values of range(Q) other than y[k]
-            i = int(rng.integers(0, Q - (y[k] < Q)))
+            i = int(rng.integers(0, Q - 1))
             z[k] = i + (i >= y[k])
         yield _injected(tuple(z), coords)

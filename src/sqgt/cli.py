@@ -3,7 +3,9 @@
 Subcommands: seq gen|check, base gen|verify, code build|verify,
 syndrome, inject, decode, simulate, report.  All output goes to
 stdout; --json switches to machine-readable JSON, and `--json simulate`
-writes its wall time to stderr.  Exit codes: 0 ok, 1 domain error,
+writes its wall time to stderr.  An error is one line on stderr, under
+--json one object: {"error": class, "message": text, "path": file}, the
+path only where the error names one.  Exit codes: 0 ok, 1 domain error,
 2 usage error, 3 decoding failure.
 """
 
@@ -268,12 +270,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DecodingFailure as exc:
-        print(f"decoding failure: {exc}", file=sys.stderr)
-        return 3
     except (SqgtError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        failed = isinstance(exc, DecodingFailure)
+        if args.json:  # one object: the class, the message and any path named
+            fault = {"error": type(exc).__name__, "message": str(exc)}
+            path = exc.path if isinstance(exc, SqgtError) else exc.filename
+            if path is not None:
+                fault["path"] = path
+            print(json.dumps(fault, sort_keys=True), file=sys.stderr)
+        else:
+            print(f"{'decoding failure' if failed else 'error'}: {exc}", file=sys.stderr)
+        return 3 if failed else 1
 
 
 if __name__ == "__main__":

@@ -403,7 +403,7 @@ def save_code(code: SqgtCode, prefix: str) -> str:
             fh.write("{\n" + ",\n".join(lines) + "\n}\n")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         reason = getattr(exc, "strerror", None) or exc
-        raise InvalidInput(f"cannot write {path!r}: {reason}") from exc
+        raise InvalidInput(f"cannot write {path!r}: {reason}", path=path) from exc
     return path
 
 
@@ -414,4 +414,4 @@ def load_code(path: str) -> SqgtCode:
     try:
         return code_from_config(read_file(path, as_json=True))
     except SqgtError as exc:
-        raise CorruptCode(f"{path}: {exc}") from exc
+        raise CorruptCode(f"{path}: {exc}", path=path) from exc

@@ -10,8 +10,14 @@ tuple and a bitmask, one bit per row, m, Q - 1, and a table from each bin
 to its decoded answer (sorted multipliers, column offsets) or None: whole
 from the start for quantized B_h codes, filled for SQLO on a bin's first
 sight by one O(K) knapsack call over the whole bin.  y's zero mask is one
-C-level pass over the row bits, each support one popcount.  ``decode``
-checks y once; its stages check y, and i, only when called directly.
+C-level pass over the row bits, each support one popcount.  The supports
+depend on the zero mask alone, and the plan keeps the last recovery's
+(zero mask, supports) as one tuple in one slot, read once and replaced
+whole: a recovery with that mask, as most of an exhaustive campaign's
+are, returns a fresh list of them without the scan, and a thread sharing
+the plan sees a whole pair or a miss.  ``decode`` checks y once; its
+stages check y, and i, only when called directly, and always before the
+memo is read.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ class DecoderPlan:
     top_bin: int  # Q - 1, the largest value of y
     block_of: dict[int, int]  # multiplier value -> block index
     subset_in_bin: dict[int, tuple | None]  # bin -> _entry of its subset, or None
+    # [(zero mask, supports)] of the last recovery: one tuple, replaced whole
+    last_support: list[tuple[int | None, tuple[int, ...]]]
 
 
 def _build_plan(code: SqgtCode) -> DecoderPlan:
@@ -58,6 +66,7 @@ def _build_plan(code: SqgtCode) -> DecoderPlan:
         block_of=block_of,
         subset_in_bin={quantize(code.thresholds, total): _entry(s, block_of, code.base_n)
                        for total, s in table},
+        last_support=[(None, ())],
     )
 
 
@@ -67,21 +76,35 @@ def _entry(subset, block_of, base_n):
     return multipliers, tuple(block_of[a] * base_n for a in multipliers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodedResult:
     defectives: frozenset[int]  # column indices into the code
     per_support: tuple[tuple[int, tuple[int, ...]], ...]  # (base col, multipliers)
     warning: str | None = None
 
 
+_UNSEEN = object()  # a bin the plan's table has no entry for
+
+# decode sets a result's slots through their descriptors: no frozen __init__
+_set_defectives = DecodedResult.defectives.__set__
+_set_per_support = DecodedResult.per_support.__set__
+_set_warning = DecodedResult.warning.__set__
+
+
 def recover_support(y, code: SqgtCode) -> list[int]:
     """Base columns whose nonzero coordinates exceed y in at most e places.
     A binary entry exceeds y only where y is 0, so a column's count is the
-    number of y's zero rows in its row mask."""
+    number of y's zero rows in its row mask.  The supports depend on those
+    rows alone, so a y with the last recovery's zero mask takes its supports."""
     plan, e = code.plan, code.e
     yv = y if type(y) is _Checked and y.code is code else _result_values(y, code)
     zeros = sum(compress(plan.row_bits, map(not_, yv)))
-    return [i for i, rows in enumerate(plan.row_masks) if (zeros & rows).bit_count() <= e]
+    last_zeros, supports = plan.last_support[0]  # one read: a whole pair, never a mix
+    if zeros == last_zeros:
+        return list(supports)
+    found = [i for i, rows in enumerate(plan.row_masks) if (zeros & rows).bit_count() <= e]
+    plan.last_support[0] = zeros, tuple(found)
+    return found
 
 
 def select_witness_coords(y, code: SqgtCode, i: int) -> list[int]:
@@ -135,24 +158,24 @@ def decode(y, code: SqgtCode) -> DecodedResult:
         # holds none, as every element is at least eta_1).
         votes = [yv[j] for j in select_witness_coords(yv, code, i)]
         r = votes[e]
-        entry = None
-        if votes.count(r) > e:
-            entry = table.get(r)
-            if entry is None and r and r not in table and code.sequence.kind != QUANTIZED_BH:
-                found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])
-                # The exact call returns the same subset; the benchmark's
-                # tracer test pins two calls on a fresh code's first decode.
-                if found is not None:
-                    found = knapsack_solve(code.sequence, code.d, sum(found))
-                entry = table[r] = found and _entry(found, plan.block_of, code.base_n)
-        if entry is None:
+        # One lookup: a bin another thread fills after it is solved again,
+        # never taken for a bin known to hold no subset.
+        entry = table.get(r, _UNSEEN) if votes.count(r) > e else None
+        if entry is _UNSEEN and r and code.sequence.kind != QUANTIZED_BH:
+            found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])
+            # The exact call returns the same subset; the benchmark's
+            # tracer test pins two calls on a fresh code's first decode.
+            if found is not None:
+                found = knapsack_solve(code.sequence, code.d, sum(found))
+            entry = table[r] = found and _entry(found, plan.block_of, code.base_n)
+        if entry is None or entry is _UNSEEN:
             raise DecodingFailure(
                 f"support column {i}: no candidate sum reached {e + 1} witness votes"
             )
         per_support.append((i, entry[0]))  # the multipliers, then their column offsets
         defectives += [offset + i for offset in entry[1]]
-    warning = None if supports else "no defectives recovered or contract violated"
-    result = object.__new__(DecodedResult)  # as channel._injected: no frozen __init__
-    vars(result).update(defectives=frozenset(defectives), per_support=tuple(per_support),
-                        warning=warning)
+    result = object.__new__(DecodedResult)
+    _set_defectives(result, frozenset(defectives))
+    _set_per_support(result, tuple(per_support))
+    _set_warning(result, None if supports else "no defectives recovered or contract violated")
     return result

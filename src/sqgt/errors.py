@@ -2,7 +2,12 @@
 
 
 class SqgtError(Exception):
-    """Base class for all domain errors raised by this package."""
+    """Base class for all domain errors raised by this package.  `path` is
+    the file the error is about, where the error names one."""
+
+    def __init__(self, *args, path: str | None = None):
+        super().__init__(*args)
+        self.path = path
 
 
 class OutOfRange(SqgtError):

@@ -96,17 +96,18 @@ def read_file(path: str, as_json: bool = False):
     """The text of the UTF-8 file at `path`, or with as_json the value it
     holds, the one read of every file the package takes.  A file that cannot
     be read (missing, a directory, a NUL byte in the path, not UTF-8), or
-    with as_json is not JSON, is InvalidInput naming the path."""
+    with as_json is not JSON, is InvalidInput naming the path, also as its
+    `.path`."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: the NUL, or the decoding
         reason = getattr(exc, "strerror", None) or exc
-        raise InvalidInput(f"cannot read {path!r}: {reason}") from exc
+        raise InvalidInput(f"cannot read {path!r}: {reason}", path=path) from exc
     try:
         return json.loads(text) if as_json else text
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise InvalidInput(f"{path!r} is not valid JSON: {exc}") from exc
+        raise InvalidInput(f"{path!r} is not valid JSON: {exc}", path=path) from exc
 
 
 def load_thresholds(spec: str) -> Thresholds:

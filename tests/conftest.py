@@ -122,13 +122,14 @@ def edit_json():
     return edit
 
 
-# The five tests that decode or recover supports over the hot code's
+# The six tests that decode or recover supports over the hot code's
 # outcomes (all 447,525, or 20,000 for the reference campaign) on the
 # scalar path, about two thirds of a full run.
 # `pytest -m "not slow"` leaves them out; a plain run keeps them.
 SLOW_TESTS = {
     "test_cold_and_warm_tables_decode_alike",
     "test_decoders_match_oracle_with_errors",
+    "test_the_support_memo_keeps_the_reference_rule",
     "test_criterion_05_exhaustive_campaigns",
     "test_criterion_10_negative_controls",
     "test_summaries_match_the_reference_campaign",

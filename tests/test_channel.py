@@ -89,7 +89,8 @@ def test_inject_explicit_rejects_a_coordinate_given_twice(changes, capsys):
     assert main(["--json", "inject", "--y", "3 0 1", "--Q", "8", "--explicit", explicit]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: error position {changes[0][0]} given twice\n"
+    assert json.loads(captured.err) == {
+        "error": "InvalidInput", "message": f"error position {changes[0][0]} given twice"}
 
 
 def test_inject_exhaustive_counts():
@@ -166,20 +167,27 @@ def test_injectors_match_the_checked_reference(code_corpus):
                     assert all(o == TestOutcome(o.y, o.error_positions) for o in got)
 
 
-def test_injectors_match_the_reference_above_q():
-    # a value at or above Q has Q others, not Q - 1
-    clean = TestOutcome((9, 0, 3))
-    got = inject_exhaustive(clean, 3, 4)
-    assert _as_fields(got) == _as_fields(reference_inject_exhaustive(clean, 3, 4))
-    for seed in range(5):
-        got = inject_random(clean, 3, 4, seed, 30)
-        assert _as_fields(got) == _as_fields(reference_inject_random(clean, 3, 4, seed, 30))
+@pytest.mark.parametrize("y, Q", [((20, 0), 15), ((9, 0, 3), 4), ((0, 3, 0), 1), ((2, 0, 5), 1)],
+                         ids=["y20-Q15", "y9-Q4", "y3-Q1", "y2-Q1"])
+def test_injectors_refuse_a_value_at_or_above_q(capsys, y, Q):
+    # each injected value lies in range(Q): (20, 0) at Q = 15 once made 30
+    # outcomes, not 1 + 2 * 14 = 29, and every one kept the 20
+    first = next(v for v in y if v >= Q)  # the error names the first such value
+    message = f"^result value must be <= {Q - 1}, got {first}$"
+    for outcome in (TestOutcome(y), SimpleNamespace(y=y)):
+        with pytest.raises(InvalidBin, match=message):
+            next(inject_exhaustive(outcome, 1, Q))
+        with pytest.raises(InvalidBin, match=message):
+            next(inject_random(outcome, 1, Q, 5, 3))
+    argv = ["inject", "--y", " ".join(map(str, y)), "--Q", str(Q), "--e", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: result value must be <= {Q - 1}, got {first}\n"
 
 
-@pytest.mark.parametrize("y", [(0, 0), (0, 3, 0), (2, 0, 5)])
+@pytest.mark.parametrize("y", [(0,), (0, 0), (0, 0, 0)])
 def test_inject_random_with_one_bin_makes_only_exhaustive_outcomes(y):
-    # with Q = 1 a 0 has no other value: it stays, as in inject_exhaustive,
-    # and only the values at or above Q change
+    # with Q = 1 every value is 0, which has no other value: it stays, as in
+    # inject_exhaustive
     clean = TestOutcome(y)
     for e in range(len(y) + 1):
         possible = set(_as_fields(inject_exhaustive(clean, e, 1)))

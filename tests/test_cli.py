@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from sqgt import BudgetExceeded, CorruptCode, InvalidInput, code_from_config, load_code
+from sqgt import codebook
 from sqgt.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -407,6 +408,87 @@ def test_a_closed_stdout_is_one_error_line():
     proc.stderr.close()
     assert proc.wait() == 1
     assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_a_closed_stdout_under_json_is_one_error_object():
+    # as above, with the one JSON line of outcomes cut after its first byte
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    argv = ["--json", "inject", "--y", " ".join(["3"] * 20), "--Q", "15", "--e", "2"]
+    proc = subprocess.Popen([sys.executable, "-m", "sqgt.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "BrokenPipeError", "message": "[Errno 32] Broken pipe"}
+
+
+TH_SHORT = "[0, 3, 6, 9]"
+# a fault of every class the CLI can raise: the argv after the command's
+# set-up, the class, the message, the path it names and the exit code
+CLI_FAULTS = {
+    "InvalidBin": (["decode", "--code", "demo.json", "--y", "15 0"],
+                   "result value must be <= 14, got 15", None, 1),
+    "InvalidInput": (["simulate", "--config", "missing.json"],
+                     "cannot read 'missing.json': No such file or directory", "missing.json", 1),
+    "CorruptCode": (["decode", "--code", "cut.json", "--y", "3 0"],
+                    "cut.json: 'cut.json' is not valid JSON: Expecting ',' delimiter: "
+                    "line 1 column 18 (char 17)", "cut.json", 1),
+    "InfeasibleThresholds": (["seq", "gen", "--thresholds", "[0, 6]", "--kind", "quantized-bh",
+                              "--h", "2", "--K", "1"],
+                             "even the single-element sequence [6] fails the quantized-bh check",
+                             None, 1),
+    "ParameterError": (["code", "build", "--thresholds", TH_STEP3_TALL, "--base", "identity:2",
+                        "--values", "3 6 12", "--kind", "sqlo-s", "--h", "1", "--d", "2",
+                        "--out", "x"], "sequence verified for h=1 < d=2", None, 1),
+    "HeadroomError": (["code", "build", "--thresholds", "[0, 3, 6, 9, 12]", "--base", "identity:2",
+                       "--values", "3 6", "--kind", "sqlo-s", "--h", "2", "--d", "2",
+                       "--out", "x"], "strict headroom violated: eta_Q=12 <= d*(q-1)=12", None, 1),
+    "BudgetExceeded": (["code", "build", "--thresholds", TH_STEP3_TALL,
+                        "--base", "identity:10000000000", "--values", "3", "--kind", "sqlo-s",
+                        "--h", "1", "--d", "1", "--out", "x"],
+                       "a 10000000000 x 10000000000 base has more than 10000000 cells", None, 1),
+    "OutOfRange": (["code", "verify", "--code", "short.json", "--u", "2"],
+                   "coordinate 0: sum 9 >= top threshold 9", None, 1),
+    "DecodingFailure": (["decode", "--code", "demo.json", "--y", "10 0"],
+                        "support column 0: no candidate sum reached 1 witness votes", None, 3),
+}
+
+
+@pytest.mark.parametrize("name", CLI_FAULTS)
+def test_json_errors_are_one_object_naming_the_class(capsys, tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    build_demo_code(capsys, tmp_path)
+    assert main(["code", "build", "--thresholds", TH_SHORT, "--base", "identity:2", "--values",
+                 "3 6", "--kind", "sqlo-s", "--h", "1", "--d", "1", "--mode", "permissive",
+                 "--out", "short"]) == 0
+    Path("cut.json").write_text('{"thresholds": [0')
+    capsys.readouterr()
+    argv, message, path, code = CLI_FAULTS[name]
+    assert main(["--json", *argv]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    want = {"error": name, "message": message}
+    if path is not None:
+        want["path"] = path
+    assert json.loads(err) == want
+    # the plain text is unchanged: one line, the message after its prefix
+    assert main(argv) == code
+    prefix = "decoding failure" if code == 3 else "error"
+    assert capsys.readouterr().err == f"{prefix}: {message}\n"
+
+
+def test_a_json_os_error_names_its_file(capsys, monkeypatch):
+    def refused(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(codebook, "load_code", refused)
+    assert main(["--json", "decode", "--code", "demo.json", "--y", "3 0"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "PermissionError", "path": "demo.json",
+        "message": "[Errno 13] Permission denied: 'demo.json'"}
 
 
 def test_simulate_rejects_an_unknown_policy(capsys, tmp_path, edit_json):

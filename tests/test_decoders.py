@@ -1,9 +1,11 @@
 import ast
 import dataclasses
 import math
+import sys
+import threading
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,127 @@ def test_decoders_match_oracle_with_errors(code_corpus):
                 outcomes = list(inject_exhaustive(clean, code.e, code.thresholds.Q))
                 got = [recover_support(outcome, code) for outcome in outcomes]
                 assert got == reference_supports(outcomes, code), (name, D)
+
+
+def _exhaustive_cases(code):
+    """Each defective set and its exhaustive outcomes at the code's e, in
+    the campaign's order."""
+    for size in range(1, code.d + 1):
+        for D in combinations(range(code.n), size):
+            yield D, list(inject_exhaustive(syndrome(code, D), code.e, code.thresholds.Q))
+
+
+def test_the_support_memo_keeps_the_reference_rule(code_corpus):
+    """recover_support gives the reference rule on every exhaustive outcome
+    of four codes, the hot code among them, two codes at a time in
+    alternation.  The second pair, rep3 at e = 1 and ks3 at e = 0, has one
+    length m, and each of its outcomes is decoded after its recovery: a memo
+    shared between plans would hand one code the other's supports."""
+    pairs = (("sqs-ks5-k2-d2-e1", "qbh-rep4-d2-e1"), ("sql-rep3-d2-e1", "sql-ks3-d2"))
+    for names in pairs:
+        codes = [dataclasses.replace(_entry(code_corpus, name)) for name in names]
+        decoding = codes[0].m == codes[1].m
+        streams = [_exhaustive_cases(code) for code in codes]
+        for cases in zip_longest(*streams):
+            for code, case in zip(codes, cases):
+                if case is None:
+                    continue
+                D, outcomes = case
+                got = []
+                for outcome in outcomes:
+                    got.append(recover_support(outcome, code))
+                    if decoding:
+                        assert decode(outcome, code).defectives == frozenset(D)
+                assert got == reference_supports(outcomes, code), (code.m, D)
+
+
+def test_the_support_memo_hands_out_a_fresh_list(code_corpus):
+    # the memo holds its supports as a tuple: a caller that changes its list,
+    # on a miss or on a hit, changes no later answer
+    code = dataclasses.replace(_entry(code_corpus, "sqs-rep4-d3-e1"))
+    clean = syndrome(code, [0, 5])
+    want = reference_supports([clean], code)[0]
+    assert len(want) == 2
+    for _ in range(3):  # a miss, then hits: the clean outcome's zero mask again
+        got = recover_support(clean, code)
+        assert got == want
+        got.append(99)
+        got.pop(0)
+    assert recover_support(clean, code) == want
+
+
+@pytest.mark.parametrize("y, error", [((15, 0), InvalidBin), ((3, 0, 0), InvalidInput)],
+                         ids=["Q", "length"])
+def test_a_memo_hit_still_checks_y(code_corpus, y, error):
+    # (15, 0) and (3, 0, 0) have the zero mask of the stored (3, 0)
+    code = dataclasses.replace(_entry(code_corpus, "sqs-i2-d2"))
+    assert recover_support((3, 0), code) == [0]
+    with pytest.raises(error):
+        recover_support(y, code)
+    with pytest.raises(error):
+        decode(y, code)
+    assert code.plan.last_support[0] == (0b10, (0,))
+
+
+def test_two_threads_decoding_one_code_agree_with_the_reference(code_corpus):
+    """Two threads share one code's plan, and with it the support memo.
+    Each takes every other outcome of the same sets, two sets at a time in
+    alternation, so that each often meets a zero mask the other has just
+    stored for the other set's supports: every recovery keeps the reference
+    rule and every decode gives its set."""
+    code = dataclasses.replace(_entry(code_corpus, "sqs-ks5-k2-d2-e1"))
+    cases = [case for _, case in zip(range(60), _exhaustive_cases(code))]
+    shares = [[], []]
+    for (D1, one), (D2, two) in zip(cases[0::2], cases[1::2]):
+        for start, share in enumerate(shares):
+            for pair in zip(one[start::2], two[start::2]):
+                share += zip((D1, D2), pair)
+    got = [[], []]
+
+    def work(index):
+        for _, outcome in shares[index]:
+            try:
+                result = recover_support(outcome, code), decode(outcome, code).defectives
+            except SqgtError as exc:  # kept, so that a wrong support shows as itself
+                result = exc
+            got[index].append(result)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, within a recovery too
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for share, results in zip(shares, got):
+        want = [(supports, frozenset(D)) for (D, _), supports
+                in zip(share, reference_supports([y for _, y in share], code))]
+        assert results == want
+
+
+def test_a_bin_filled_between_two_lookups_still_decodes(code_corpus):
+    # A thread that found a bin missing and then, after another thread
+    # filled it, found it present took it for a bin with no subset and
+    # raised DecodingFailure; decode now looks a bin up once.
+    y = syndrome(_entry(code_corpus, "sqs-ks3-d2"), [0, 4])
+    warm = dataclasses.replace(_entry(code_corpus, "sqs-ks3-d2"))
+    decode(y, warm)
+    solved = dict(warm.plan.subset_in_bin)
+    assert solved
+
+    class FilledAfterEachLookup(dict):
+        def get(self, *args):
+            found = super().get(*args)
+            self.update(solved)  # as another thread's decode would, just then
+            return found
+
+    code = dataclasses.replace(warm)
+    vars(code)["plan"] = dataclasses.replace(code.plan, subset_in_bin=FilledAfterEachLookup())
+    assert decode(y, code).defectives == frozenset({0, 4})
 
 
 def _decoded(y, code, decoder=decode):

@@ -157,8 +157,8 @@ SCALARS = {
     "feasibility_report h": (lambda v: feasibility_report(K=3, h=v, Q=8), 2, 0, None),
     "feasibility_report q": (lambda v: feasibility_report(q=v, th=TH), 4, 1, None),
     "inject_explicit Q": (lambda v: inject_explicit(Y, [(1, 5)], v), 8, 0, None),
-    "inject_exhaustive e": (lambda v: list(inject_exhaustive(Y, v, 3)), 1, -1, None),
-    "inject_exhaustive Q": (lambda v: list(inject_exhaustive(Y, 1, v)), 3, 0, None),
+    "inject_exhaustive e": (lambda v: list(inject_exhaustive(Y, v, 4)), 1, -1, None),
+    "inject_exhaustive Q": (lambda v: list(inject_exhaustive(Y, 1, v)), 4, 0, None),
     "inject_random e": (lambda v: list(inject_random(Y, v, 8, 0, 3)), 2, -1, None),
     "inject_random Q": (lambda v: list(inject_random(Y, 2, v, 0, 3)), 8, 0, None),
     "inject_random count": (lambda v: list(inject_random(Y, 2, 8, 0, v)), 3, -1, None),
