@@ -158,8 +158,8 @@ def decode(y, code: SqgtCode) -> DecodedResult:
         # holds none, as every element is at least eta_1).
         votes = [yv[j] for j in select_witness_coords(yv, code, i)]
         r = votes[e]
-        # One lookup: a bin another thread fills after it is solved again,
-        # never taken for a bin known to hold no subset.
+        # One lookup: a bin that another thread fills meanwhile is at worst
+        # solved twice, never taken for a bin that holds no subset.
         entry = table.get(r, _UNSEEN) if votes.count(r) > e else None
         if entry is _UNSEEN and r and code.sequence.kind != QUANTIZED_BH:
             found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])

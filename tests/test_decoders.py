@@ -355,7 +355,7 @@ def test_two_threads_decoding_one_code_agree_with_the_reference(code_corpus):
         for _, outcome in shares[index]:
             try:
                 result = recover_support(outcome, code), decode(outcome, code).defectives
-            except SqgtError as exc:  # kept, so that a wrong support shows as itself
+            except SqgtError as exc:  # recorded: a wrong support shows in the comparison
                 result = exc
             got[index].append(result)
 
