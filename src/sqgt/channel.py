@@ -62,8 +62,9 @@ def syndrome(code, defectives: Iterable[int]) -> TestOutcome:
 
 def inject_explicit(outcome: TestOutcome, changes: Sequence[tuple[int, int]], Q: int) -> TestOutcome:
     """Apply an explicit list of (coordinate, new value) changes, at most
-    one per coordinate."""
-    changes, Q, y = list(changes), as_int(Q, "Q", 1), list(outcome.y)
+    one per coordinate.  As in the other injectors, each input value lies in [Q]."""
+    changes, Q = list(changes), as_int(Q, "Q", 1)
+    y = list(as_ints(outcome.y, "result value", InvalidBin, 0, Q - 1))
     positions = as_ints((pos for pos, _ in changes), "error position", InvalidInput, 0, len(y) - 1)
     values = as_ints((val for _, val in changes), "error value", InvalidBin, 0, Q - 1)
     for pos, val in zip(positions, values):

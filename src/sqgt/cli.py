@@ -5,7 +5,8 @@ syndrome, inject, decode, simulate, report.  All output goes to
 stdout; --json switches to machine-readable JSON, and `--json simulate`
 writes its wall time to stderr.  An error is one line on stderr, under
 --json one object: {"error": class, "message": text, "path": file}, the
-path only where the error names one.  Exit codes: 0 ok, 1 domain error,
+path only where the error names one; a usage error is
+{"error": "UsageError", "message": text}.  Exit codes: 0 ok, 1 domain error,
 2 usage error, 3 decoding failure.
 """
 
@@ -177,8 +178,21 @@ def cmd_report(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """(parser, message) of a usage error, raised in place of argparse's
+    print and exit so that main writes it in the output mode asked for."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and through add_subparsers each of its subparsers,
+    whose usage errors reach main."""
+
+    def error(self, message):
+        raise _UsageError(self, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sqgt")
+    parser = _Parser(prog="sqgt")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -267,7 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # filled as it parses: --json is set before the subcommand's error, if given before it
+    args = argparse.Namespace()
+    try:
+        parser.parse_args(argv, args)
+    except _UsageError as exc:
+        raised_by, message = exc.args
+        if not args.json:  # argparse's own usage lines and exit 2
+            argparse.ArgumentParser.error(raised_by, message)
+        print(json.dumps({"error": "UsageError", "message": message}, sort_keys=True),
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (SqgtError, OSError) as exc:

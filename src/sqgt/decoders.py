@@ -15,16 +15,22 @@ depend on the zero mask alone, and the plan keeps the last recovery's
 (zero mask, supports) as one tuple in one slot, read once and replaced
 whole: a recovery with that mask, as most of an exhaustive campaign's
 are, returns a fresh list of them without the scan, and a thread sharing
-the plan sees a whole pair or a miss.  ``decode`` checks y once; its
-stages check y, and i, only when called directly, and always before the
-memo is read.
+the plan sees a whole pair or a miss.  A support's vote, the middle
+witness bin if e+1 of the 2e+1 hold it and else None, depends on y's
+values on its column's rows alone, and the plan keeps each column's last
+(row values, vote) the same way: a decode that meets a column's values
+again, as 78.5 % of the hot corpus code's exhaustive-campaign votes do
+(2.1 % of the benchmark's wide-bin decodes), takes the vote without
+selecting witnesses.  It keeps bins, never answers: every vote
+still goes to the bin table.  ``decode`` checks y once; its stages check
+y, and i, only when called directly, and always before a memo is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import not_
+from operator import itemgetter, not_
 from typing import TYPE_CHECKING
 
 from .channel import TestOutcome
@@ -49,6 +55,10 @@ class DecoderPlan:
     subset_in_bin: dict[int, tuple | None]  # bin -> _entry of its subset, or None
     # [(zero mask, supports)] of the last recovery: one tuple, replaced whole
     last_support: list[tuple[int | None, tuple[int, ...]]]
+    row_values: tuple  # per column, y -> y's values on its rows (one row: a scalar)
+    # per column, (its row values, their vote or None) of its last vote: one
+    # tuple, replaced whole
+    last_vote: list[tuple]
 
 
 def _build_plan(code: SqgtCode) -> DecoderPlan:
@@ -67,6 +77,9 @@ def _build_plan(code: SqgtCode) -> DecoderPlan:
         subset_in_bin={quantize(code.thresholds, total): _entry(s, block_of, code.base_n)
                        for total, s in table},
         last_support=[(None, ())],
+        # a column of no rows reads y[:0]: it has no witnesses, so it never stores a vote
+        row_values=tuple(itemgetter(*rows) if rows else itemgetter(slice(0)) for rows in coords),
+        last_vote=[(None, None)] * len(coords),
     )
 
 
@@ -149,18 +162,28 @@ def decode(y, code: SqgtCode) -> DecodedResult:
     yv = _result_values(y, code)
     supports = recover_support(yv, code)
     plan, table, e = code.plan, code.plan.subset_in_bin, code.e
+    row_values, last_vote = plan.row_values, plan.last_vote
     defectives: list[int] = []
     per_support = []
     for i in supports:
-        # The witnesses come sorted by bin, so a bin held by e+1 of the 2e+1
-        # is the middle one's.  Each kind puts at most one subset sum in it,
-        # held by the table; an SQLO bin is solved on its first sight (bin 0
-        # holds none, as every element is at least eta_1).
-        votes = [yv[j] for j in select_witness_coords(yv, code, i)]
-        r = votes[e]
-        # One lookup: a bin that another thread fills meanwhile is at worst
-        # solved twice, never taken for a bin that holds no subset.
-        entry = table.get(r, _UNSEEN) if votes.count(r) > e else None
+        # The vote depends on y's values on column i's rows alone: the same
+        # values as at its last vote take that vote without the witnesses.
+        key = row_values[i](yv)
+        last_key, r = last_vote[i]  # one read: a whole pair, never a mix
+        if key != last_key:
+            # The witnesses come sorted by bin, so a bin held by e+1 of the
+            # 2e+1 is the middle one's, and None stands for no such bin.
+            votes = [yv[j] for j in select_witness_coords(yv, code, i)]
+            r = votes[e]
+            if votes.count(r) <= e:
+                r = None
+            last_vote[i] = key, r
+        # Each kind puts at most one subset sum in a bin, held by the table;
+        # an SQLO bin is solved on its first sight (bin 0 holds none, as
+        # every element is at least eta_1).  One lookup: a bin that another
+        # thread fills meanwhile is at worst solved twice, never taken for a
+        # bin that holds no subset.
+        entry = None if r is None else table.get(r, _UNSEEN)
         if entry is _UNSEEN and r and code.sequence.kind != QUANTIZED_BH:
             found = knapsack_solve(code.sequence, code.d, *code.thresholds.eta[r : r + 2])
             # The exact call returns the same subset; the benchmark's

@@ -171,17 +171,25 @@ def test_injectors_match_the_checked_reference(code_corpus):
                          ids=["y20-Q15", "y9-Q4", "y3-Q1", "y2-Q1"])
 def test_injectors_refuse_a_value_at_or_above_q(capsys, y, Q):
     # each injected value lies in range(Q): (20, 0) at Q = 15 once made 30
-    # outcomes, not 1 + 2 * 14 = 29, and every one kept the 20
+    # outcomes, not 1 + 2 * 14 = 29, and every one kept the 20; an explicit
+    # change of another coordinate kept it too
     first = next(v for v in y if v >= Q)  # the error names the first such value
     message = f"^result value must be <= {Q - 1}, got {first}$"
+    change = (y.index(first), 0)  # a valid change, but for the value it replaces
     for outcome in (TestOutcome(y), SimpleNamespace(y=y)):
         with pytest.raises(InvalidBin, match=message):
             next(inject_exhaustive(outcome, 1, Q))
         with pytest.raises(InvalidBin, match=message):
             next(inject_random(outcome, 1, Q, 5, 3))
-    argv = ["inject", "--y", " ".join(map(str, y)), "--Q", str(Q), "--e", "1"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: result value must be <= {Q - 1}, got {first}\n"
+        with pytest.raises(InvalidBin, match=message):
+            inject_explicit(outcome, [change], Q)
+    y_text = " ".join(map(str, y))
+    for option in (["--e", "1"], ["--explicit", "%d:%d" % change]):
+        assert main(["inject", "--y", y_text, "--Q", str(Q), *option]) == 1
+        assert capsys.readouterr().err == f"error: result value must be <= {Q - 1}, got {first}\n"
+    # the command the refusal was found with
+    assert main(["inject", "--y", "20 0", "--Q", "15", "--explicit", "1:5"]) == 1
+    assert capsys.readouterr() == ("", "error: result value must be <= 14, got 20\n")
 
 
 @pytest.mark.parametrize("y", [(0,), (0, 0), (0, 0, 0)])

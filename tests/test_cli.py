@@ -168,6 +168,27 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["seq", "gen", "--kind", "sqlo-s"],
+     "the following arguments are required: --h, --K, --thresholds"),
+    ([], "the following arguments are required: command"),
+    (["inject", "--y", "1", "--Q", "x"], "argument --Q: invalid int value: 'x'"),
+    (["inject", "--y", "1", "--Q", "2", "--bogus"], "unrecognized arguments: --bogus"),
+], ids=["missing", "no-command", "not-an-int", "unrecognized"])
+def test_a_json_usage_error_is_one_object(capsys, argv, message):
+    # a usage error in a subcommand's parser and in the top one alike
+    assert main(["--json", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert json.loads(err) == {"error": "UsageError", "message": message}
+    # the plain text is argparse's: usage lines, then the message, and exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sqgt") and err.endswith(f" error: {message}\n")
+
+
 def test_inject(capsys):
     rc, out = run(capsys, "inject", "--y", "3 0", "--Q", "8", "--e", "1")
     lines = out.strip().splitlines()

@@ -163,6 +163,15 @@ def test_select_witness_coords():
         select_witness_coords((5, 1), _code([[1]] * 2, 1), 0)  # needs 3 coordinates
 
 
+def test_a_column_of_no_rows_is_refused_on_every_decode():
+    # it has no values to key a vote on, and never stores one
+    code = _code([[0, 1]] * 3, 0)
+    for _ in range(2):
+        with pytest.raises(InvalidBase, match="base column 0 has 0 rows"):
+            decode((1, 1, 1), code)
+    assert code.plan.last_vote[0] == (None, None)
+
+
 @pytest.mark.parametrize("i", [-1, 3, 1.0, True])
 def test_select_witness_coords_rejects_a_column_outside_the_base(i):
     # once column 2's witnesses, an IndexError, a TypeError and column 1's
@@ -336,16 +345,66 @@ def test_a_memo_hit_still_checks_y(code_corpus, y, error):
     assert code.plan.last_support[0] == (0b10, (0,))
 
 
+def _vote_cases(code, samples):
+    """Each defective set's exhaustive outcomes at the code's e, then
+    `samples` seeded outcomes at e + 1, in the campaign's order."""
+    for index, (_, outcomes) in enumerate(_exhaustive_cases(code)):
+        clean = outcomes[0]  # the clean outcome comes first
+        yield outcomes + list(inject_random(clean, code.e + 1, code.thresholds.Q, (33, index),
+                                            samples))
+
+
+def test_the_vote_memo_keeps_the_reference_decode(code_corpus):
+    """decode gives reference_decode's result, or its failure, on every
+    exhaustive outcome of an e = 1 code and an e = 0 code and on seeded
+    outcomes at e + 1, the two codes, of one m, decoded a set at a time in
+    alternation.  A key that leaves out a column's last row or its first
+    fails on the e = 0 code: an error there moves the vote."""
+    codes = [dataclasses.replace(_entry(code_corpus, name))
+             for name in ("sql-rep3-d2-e1", "sql-ks3-d2")]
+    assert codes[0].m == codes[1].m and [code.e for code in codes] == [1, 0]
+    seen = Counter()
+    for cases in zip_longest(*(_vote_cases(code, 20) for code in codes)):
+        for code, outcomes in zip(codes, cases):
+            if outcomes is None:
+                continue
+            got = [_decoded(y, code) for y in outcomes]
+            assert got == [_decoded(y, code, reference_decode) for y in outcomes], code.e
+            seen.update(type(r).__name__ for r in got)
+    assert seen["DecodedResult"] and seen["tuple"], seen  # results and failures alike
+    for code in codes:  # and the memo was used
+        assert any(key is not None for key, _ in code.plan.last_vote)
+
+
+@pytest.mark.parametrize("y, error", [((1, 15), InvalidBin), ((1, 0, 0), InvalidInput),
+                                      ((1, -1), InvalidBin), ((1, 0.5), InvalidBin)],
+                         ids=["Q", "length", "negative", "float"])
+def test_a_vote_memo_hit_still_checks_y(code_corpus, y, error):
+    # column 0's one row holds 1 in each y, the value of its stored vote
+    code = dataclasses.replace(_entry(code_corpus, "sqs-i2-d2"))
+    assert decode((1, 0), code).defectives == frozenset({0})
+    stored = code.plan.last_vote[0]
+    assert stored == (1, 1)  # one row: a scalar key, and bin 1 by its one vote
+    with pytest.raises(error):
+        decode(y, code)
+    assert code.plan.last_vote[0] == stored
+
+
 def test_two_threads_decoding_one_code_agree_with_the_reference(code_corpus):
-    """Two threads share one code's plan, and with it the support memo.
-    Each takes every other outcome of the same sets, two sets at a time in
-    alternation, so that each often meets a zero mask the other has just
-    stored for the other set's supports: every recovery keeps the reference
-    rule and every decode gives its set."""
+    """Two threads share one code's plan, and with it the support and vote
+    memos.  Each takes every other outcome of the same sets, two sets at a
+    time in alternation, so that each often meets a zero mask the other has
+    just stored for the other set's supports, and, where the two sets hold
+    one base column with other multipliers, a column's values the other has
+    just replaced with its own and their vote: every recovery keeps the
+    reference rule, every decode gives its set, and each vote slot holds
+    its values' vote."""
     code = dataclasses.replace(_entry(code_corpus, "sqs-ks5-k2-d2-e1"))
     cases = [case for _, case in zip(range(60), _exhaustive_cases(code))]
+    # (i,) and (i + base n,): base column i with the first and the second multiplier
+    pairs = [*zip(cases[0::2], cases[1::2]), *zip(cases[:10], cases[code.base_n:][:10])]
     shares = [[], []]
-    for (D1, one), (D2, two) in zip(cases[0::2], cases[1::2]):
+    for (D1, one), (D2, two) in pairs:
         for start, share in enumerate(shares):
             for pair in zip(one[start::2], two[start::2]):
                 share += zip((D1, D2), pair)
@@ -374,6 +433,13 @@ def test_two_threads_decoding_one_code_agree_with_the_reference(code_corpus):
         want = [(supports, frozenset(D)) for (D, _), supports
                 in zip(share, reference_supports([y for _, y in share], code))]
         assert results == want
+    e, stored = code.e, 0
+    for i, (key, vote) in enumerate(code.plan.last_vote):
+        if key is not None:
+            witnesses = sorted(key)[: 2 * e + 1]
+            assert vote == (witnesses[e] if witnesses.count(witnesses[e]) > e else None), i
+            stored += 1
+    assert stored == code.base_n
 
 
 def test_a_bin_filled_between_two_lookups_still_decodes(code_corpus):
